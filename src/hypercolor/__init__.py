@@ -28,6 +28,7 @@ from .core import (
 from .solver import (
     BudgetExhaustedError,
     EnumerationCapExceeded,
+    InvalidWitnessError,
     SolveResult,
     achromatic_number,
     brute_force_spectrum,
@@ -58,6 +59,7 @@ __all__ = [
     "GridParams",
     "Hypergraph",
     "HypergraphError",
+    "InvalidWitnessError",
     "SimplicityError",
     "SolveResult",
     "SpectrumReport",

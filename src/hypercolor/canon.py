@@ -1,10 +1,13 @@
 """Canonical labeling of small hypergraphs for isomorphism rejection.
 
-Iterative refinement on vertex signatures (own color plus the multiset
-of edge color profiles through the vertex), with individualization
-branching when refinement stalls.  The canonical form is the minimum
-relabeled edge encoding over all branches, so two hypergraphs are
-isomorphic iff their forms are equal byte strings.
+One search serves both public functions.  It refines vertex colors by
+signature (own color plus the multiset of edge color profiles through
+the vertex) and individualizes each vertex of the first non-singleton
+cell when refinement stalls.  Every leaf is a discrete coloring, read as
+a relabeling; the search keeps the leaf whose relabeled edge encoding is
+smallest.  ``canonical_form`` returns that encoding, so two hypergraphs
+are isomorphic iff their forms are equal byte strings, and
+``canonical_labeling`` returns the relabeling that produced it.
 
 Meant for search-scale instances (n up to a few dozen); cost grows with
 the automorphism group, e.g. the complete uniform hypergraphs branch
@@ -49,50 +52,11 @@ def _encode(H: Hypergraph, perm: list[int]) -> bytes:
     return bytes(out)
 
 
-def canonical_form(H: Hypergraph) -> bytes:
-    """Byte string identical across all relabelings of H."""
+def _search(H: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
+    """Minimum edge encoding over all leaves, with the labeling that gives it."""
     n = H.n
     if n == 0:
-        return _encode(H, [])
-    edges = H.edge_tuples()
-    vertex_edges: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(edges):
-        for v in row:
-            vertex_edges[v].append(j)
-
-    best: bytes | None = None
-
-    def descend(colors: list[int]):
-        nonlocal best
-        colors = _refine(colors, vertex_edges, edges)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            code = _encode(H, colors)
-            if best is None or code < best:
-                best = code
-            return
-        for v in target:
-            branched = [c * 2 for c in colors]
-            branched[v] -= 1
-            descend(branched)
-
-    descend([0] * n)
-    assert best is not None
-    return best
-
-
-def canonical_labeling(H: Hypergraph) -> tuple[int, ...]:
-    """One vertex permutation (new id per old vertex) achieving the canonical form."""
-    n = H.n
-    if n == 0:
-        return ()
+        return _encode(H, []), ()
     edges = H.edge_tuples()
     vertex_edges: list[list[int]] = [[] for _ in range(n)]
     for j, row in enumerate(edges):
@@ -124,7 +88,17 @@ def canonical_labeling(H: Hypergraph) -> tuple[int, ...]:
 
     descend([0] * n)
     assert best is not None
-    return best[1]
+    return best
+
+
+def canonical_form(H: Hypergraph) -> bytes:
+    """Byte string identical across all relabelings of H."""
+    return _search(H)[0]
+
+
+def canonical_labeling(H: Hypergraph) -> tuple[int, ...]:
+    """One vertex permutation (new id per old vertex) achieving the canonical form."""
+    return _search(H)[1]
 
 
 def are_isomorphic(H1: Hypergraph, H2: Hypergraph) -> bool:

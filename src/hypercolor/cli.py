@@ -14,7 +14,6 @@ randomized search came back empty, 1 on bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 from .core import (
     DocumentError,
     HypergraphError,
+    dump_json,
     hypergraph_to_dict,
     incidence_graph,
     parse_hypergraph,
@@ -58,7 +58,9 @@ def _default_budget() -> int | None:
         value = int(raw)
     except ValueError:
         raise DocumentError(f"HYPERCOLOR_BUDGET must be an integer, got {raw!r}")
-    return value if value > 0 else None
+    if value <= 0:
+        raise DocumentError(f"HYPERCOLOR_BUDGET must be positive, got {raw!r}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -75,12 +77,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _dump(doc, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _int_list(raw: str) -> list[int]:
@@ -139,7 +135,7 @@ def _cmd_solve(args) -> int:
         doc = rep.to_dict()
         if rep.unknown:
             code = EXIT_UNDECIDED
-    _emit(_dump(doc, args.pretty), args.out)
+    _emit(dump_json(doc, pretty=args.pretty), args.out)
     return code
 
 
@@ -188,47 +184,35 @@ def _cmd_search_split(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for i, doc in enumerate(hit_docs):
             name = f"hit_{i:03d}.json"
-            (outdir / name).write_text(_dump(doc["hypergraph"], args.pretty))
+            (outdir / name).write_text(
+                dump_json(doc["hypergraph"], pretty=args.pretty))
             doc["file"] = name
-        (outdir / "summary.json").write_text(_dump(summary, args.pretty))
+        (outdir / "summary.json").write_text(dump_json(summary, pretty=args.pretty))
     else:
-        sys.stdout.write(_dump(summary, args.pretty))
+        sys.stdout.write(dump_json(summary, pretty=args.pretty))
     return EXIT_OK if hit_docs else EXIT_UNDECIDED
 
 
 # ---------------------------------------------------------------- tri
 
-def _class_doc(i: int, e: tri.Embedding) -> dict:
-    return {
-        "index": i,
-        "n": e.n,
-        "m": e.m,
-        "degrees": sorted(e.degrees()),
-        "eulerian": tri.is_eulerian(e),
-        "embedding": tri.serialize_embedding(e),
-    }
-
-
 def _cmd_tri_enumerate(args) -> int:
     classes = tri.enumerate_triangulations(args.n)
     if args.eulerian:
         classes = [e for e in classes if tri.is_eulerian(e)]
+    rows = tri.embedding_index(classes)
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        index = []
-        for i, e in enumerate(classes):
-            name = f"tri{args.n}_{i:05d}.txt"
+        for row, e in zip(rows, classes):
+            name = f"tri{args.n}_{row['index']:05d}.txt"
             (outdir / name).write_text(tri.serialize_embedding(e))
-            row = _class_doc(i, e)
-            del row["embedding"]
             row["file"] = name
-            index.append(row)
-        (outdir / "index.json").write_text(_dump(index, args.pretty))
+        (outdir / "index.json").write_text(dump_json(rows, pretty=args.pretty))
     else:
-        doc = {"n": args.n, "count": len(classes),
-               "classes": [_class_doc(i, e) for i, e in enumerate(classes)]}
-        sys.stdout.write(_dump(doc, args.pretty))
+        for row, e in zip(rows, classes):
+            row["embedding"] = tri.serialize_embedding(e)
+        doc = {"n": args.n, "count": len(classes), "classes": rows}
+        sys.stdout.write(dump_json(doc, pretty=args.pretty))
     return EXIT_OK
 
 
@@ -251,7 +235,7 @@ def _cmd_tri_find_gap(args) -> int:
             "report": rep.to_dict(),
         } for e, rep in pairs],
     }
-    _emit(_dump(doc, args.pretty), args.out)
+    _emit(dump_json(doc, pretty=args.pretty), args.out)
     return EXIT_OK
 
 

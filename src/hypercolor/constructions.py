@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Coloring, DocumentError, Hypergraph
+from .core import Coloring, DocumentError, Hypergraph, dump_json
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
@@ -186,9 +186,7 @@ class SplitPattern:
     split lists the base vertices replaced by two copies.  lifts has one
     row per base edge, base edges in lexicographic order; row j holds a
     0/1 copy choice for each split member of base edge j, members in
-    ascending order.  Unsplit vertices keep the low ids (in base order);
-    the copies of the p-th split vertex get ids u + 2p and u + 2p + 1
-    where u is the number of unsplit vertices.
+    ascending order.  ``lift_layout`` fixes the lifted vertex ids.
     """
 
     base_m: int
@@ -228,9 +226,7 @@ class SplitPattern:
                 "lifts": [list(r) for r in self.lifts], "k": self.k}
 
     def to_json(self, *, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_dict(), indent=2) + "\n"
-        return json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
+        return dump_json(self.to_dict(), pretty=pretty)
 
     @classmethod
     def from_json(cls, text: str) -> "SplitPattern":
@@ -255,6 +251,27 @@ class SplitPattern:
             raise DocumentError(str(exc)) from exc
 
 
+def lift_layout(base_m: int, split, k: int) -> tuple[int, list]:
+    """Vertex ids of every lift of the complete k-uniform base on base_m.
+
+    Unsplit vertices keep the low ids in base order; copy b of the p-th
+    split vertex gets id u + 2p + b, where u counts the unsplit vertices.
+    Returns (n, rows) with one row per base edge in lexicographic order:
+    the ids of the edge's unsplit members, and the copy-0 id of each of
+    its split members in ascending order.
+    """
+    split = sorted(split)
+    split_set = set(split)
+    unsplit = [v for v in range(base_m) if v not in split_set]
+    u = len(unsplit)
+    lifted = {v: i for i, v in enumerate(unsplit)}
+    lifted.update((v, u + 2 * p) for p, v in enumerate(split))
+    rows = [([lifted[v] for v in e if v not in split_set],
+             [lifted[v] for v in e if v in split_set])
+            for e in combinations(range(base_m), k)]
+    return u + 2 * len(split), rows
+
+
 def split_lift(pattern: SplitPattern) -> Hypergraph:
     """Apply a split pattern to its complete k-uniform base.
 
@@ -264,20 +281,7 @@ def split_lift(pattern: SplitPattern) -> Hypergraph:
     as a guard.  Unchosen copies may be isolated but still count as
     vertices.
     """
-    split_set = set(pattern.split)
-    unsplit = [v for v in range(pattern.base_m) if v not in split_set]
-    u = len(unsplit)
-    low_id = {v: i for i, v in enumerate(unsplit)}
-    copy_rank = {v: p for p, v in enumerate(pattern.split)}
-    n = u + 2 * len(pattern.split)
-    edges = []
-    for edge, row in zip(pattern.base_edges(), pattern.lifts):
-        out = []
-        it = iter(row)
-        for v in edge:
-            if v in split_set:
-                out.append(u + 2 * copy_rank[v] + next(it))
-            else:
-                out.append(low_id[v])
-        edges.append(sorted(out))
+    n, rows = lift_layout(pattern.base_m, pattern.split, pattern.k)
+    edges = [fixed + [c + b for c, b in zip(copies, lift)]
+             for (fixed, copies), lift in zip(rows, pattern.lifts)]
     return Hypergraph(n, pattern.k, edges, dedup=True)

@@ -456,6 +456,13 @@ def incidence_graph(H: Hypergraph) -> IncidenceGraph:
 # -- serialization -----------------------------------------------------
 
 
+def dump_json(doc, *, pretty: bool = False) -> str:
+    """JSON text of doc plus a newline: compact, or indented when pretty."""
+    if pretty:
+        return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 def hypergraph_to_dict(H: Hypergraph) -> dict:
     return {"k": H.k, "n": H.n,
             "edges": [[int(v) for v in row] for row in H.edges]}
@@ -463,10 +470,7 @@ def hypergraph_to_dict(H: Hypergraph) -> dict:
 
 def serialize_hypergraph(H: Hypergraph, *, pretty: bool = False) -> str:
     """Canonical JSON text.  Equal hypergraphs serialize byte-identically."""
-    doc = hypergraph_to_dict(H)
-    if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return dump_json(hypergraph_to_dict(H), pretty=pretty)
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -557,6 +561,4 @@ class SpectrumReport:
         return doc
 
     def to_json(self, *, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_dict(), indent=2) + "\n"
-        return json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
+        return dump_json(self.to_dict(), pretty=pretty)

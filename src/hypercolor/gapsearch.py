@@ -32,7 +32,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import canon
-from .constructions import SplitPattern, split_lift
+from .constructions import SplitPattern, lift_layout
 from .core import Hypergraph, covers_all, independent_sets
 from .solver import (
     EnumerationCapExceeded,
@@ -144,7 +144,11 @@ def _has_independent_set(H: Hypergraph, size: int) -> bool:
 
 
 class _LiftSpace:
-    """Precomputed slot layout and symmetry action for one search space."""
+    """Slot bits and symmetry action for one search space.
+
+    One bit per (base edge, split member) slot picks the copy that edge
+    uses; the lifted vertex ids come from ``lift_layout``.
+    """
 
     def __init__(self, base_m: int, split: tuple, k: int):
         self.base_m = base_m
@@ -153,31 +157,19 @@ class _LiftSpace:
         split_set = set(self.split)
         self.base_edges = list(combinations(range(base_m), k))
         self.edge_index = {e: j for j, e in enumerate(self.base_edges)}
-        unsplit = [v for v in range(base_m) if v not in split_set]
-        self.u = len(unsplit)
-        low_id = {v: i for i, v in enumerate(unsplit)}
-        self.copy_rank = {v: p for p, v in enumerate(self.split)}
-        self.n = self.u + 2 * len(self.split)
+        self.n, self.rows = lift_layout(base_m, self.split, k)
 
         self.slots = []           # (edge index, base vertex), split members only
         self.slot_index = {}
-        self.edge_slots = []      # per edge: slot ids
-        self.edge_fixed = []      # per edge: lifted ids of unsplit members
-        self.edge_var_base = []   # per edge: copy-0 lifted id per slot
+        self.edge_slots = []      # per edge: slot ids, one per copy-0 id
         for j, e in enumerate(self.base_edges):
-            sl, fixed, var = [], [], []
+            sl = []
             for v in e:
                 if v in split_set:
-                    idx = len(self.slots)
+                    self.slot_index[(j, v)] = len(self.slots)
+                    sl.append(len(self.slots))
                     self.slots.append((j, v))
-                    self.slot_index[(j, v)] = idx
-                    sl.append(idx)
-                    var.append(self.u + 2 * self.copy_rank[v])
-                else:
-                    fixed.append(low_id[v])
             self.edge_slots.append(sl)
-            self.edge_fixed.append(fixed)
-            self.edge_var_base.append(var)
         self.B = len(self.slots)
 
         # symmetry action on slot bits: base permutations preserving the
@@ -198,7 +190,8 @@ class _LiftSpace:
                     e_old = tuple(sorted(inv[w] for w in self.base_edges[j2]))
                     src[si, i2] = self.slot_index[(self.edge_index[e_old], inv[v2])]
             self.src = src
-            ranks = np.array([self.copy_rank[v] for (_j, v) in self.slots])
+            rank = {v: p for p, v in enumerate(self.split)}
+            ranks = np.array([rank[v] for (_j, v) in self.slots])
             masks = np.arange(1 << s, dtype=np.int64)
             self.xor = ((masks[:, None] >> ranks[None, :]) & 1).astype(bool)
             self.powers = (np.uint64(1) << np.arange(self.B, dtype=np.uint64))
@@ -216,12 +209,10 @@ class _LiftSpace:
         return int(vals.min())
 
     def build(self, bits: int) -> Hypergraph:
-        edges = []
-        for j in range(len(self.base_edges)):
-            row = list(self.edge_fixed[j])
-            for s_i, slot in enumerate(self.edge_slots[j]):
-                row.append(self.edge_var_base[j][s_i] + ((bits >> slot) & 1))
-            edges.append(row)
+        """split_lift(self.pattern(bits)) without the SplitPattern round trip."""
+        edges = [fixed + [c + ((bits >> slot) & 1)
+                          for c, slot in zip(copies, slots)]
+                 for (fixed, copies), slots in zip(self.rows, self.edge_slots)]
         return Hypergraph(self.n, self.k, edges, dedup=True)
 
     def pattern(self, bits: int) -> SplitPattern:
@@ -231,10 +222,12 @@ class _LiftSpace:
         return SplitPattern(base_m=self.base_m, split=self.split,
                             lifts=lifts, k=self.k)
 
-    def orbit_key(self, bits: int, H: Hypergraph) -> bytes:
+    def orbit_key(self, bits: int) -> tuple[bytes, Hypergraph | None]:
+        """Orbit key of the pattern, plus the lift if the key needed it."""
         if self.fast_canon:
-            return self.canonical_bits(bits).to_bytes(8, "big")
-        return canon.canonical_form(H)
+            return self.canonical_bits(bits).to_bytes(8, "big"), None
+        H = self.build(bits)
+        return canon.canonical_form(H), H
 
 
 @lru_cache(maxsize=8)
@@ -268,8 +261,8 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
         dead = False
         for j in range(len(space.base_edges)):
             slots = space.edge_slots[j]
-            fixed_cls = [class_of[v] for v in space.edge_fixed[j]]
-            var_base = space.edge_var_base[j]
+            fixed, var_base = space.rows[j]
+            fixed_cls = [class_of[v] for v in fixed]
             allowed = []
             for combo in range(1 << len(slots)):
                 cls = list(fixed_cls)
@@ -289,37 +282,36 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
     return rng.getrandbits(space.B) if space.B else 0
 
 
-def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
+def _evaluate(space: _LiftSpace, H: Hypergraph, target: SpectrumTarget,
               screen_budget: int, stats: dict):
-    """Run the staged pipeline; returns (score, H, report-or-None)."""
-    H = space.build(bits)
+    """Run the staged pipeline on a lift; returns (score, report-or-None)."""
     stats["candidates"] += 1
     score = 0
     tmin = min(target.require) if target.require else space.k
     need = -(-space.n // tmin)
     if not _has_independent_set(H, need):
         stats["screen_fail"] += 1
-        return score, H, None
+        return score, None
     score += 1
     if exists_proper(H, tmin, budget=screen_budget).status != "found":
         stats["chi_fail"] += 1
-        return score, H, None
+        return score, None
     score += 1
     for t in sorted(target.forbid):
         if exists_complete(H, t, budget=screen_budget).status != "none":
             stats[f"forbid_fail_{t}"] += 1
-            return score, H, None
+            return score, None
         score += 1
     for t in sorted(target.require, reverse=True):
         if exists_complete(H, t, budget=screen_budget).status != "found":
             stats[f"require_fail_{t}"] += 1
-            return score, H, None
+            return score, None
         score += 1
     report = spectrum(H)
     if not target.matches(report):
         stats["full_check_fail"] += 1
-        return score, H, None
-    return score + 1, H, report
+        return score, None
+    return score + 1, report
 
 
 def _validate_hit(H: Hypergraph, report, target: SpectrumTarget, *,
@@ -382,8 +374,7 @@ def _run_restart(args):
             cand = propose_fresh()
         else:
             cand = bits ^ (1 << rng.randrange(space.B))
-        cand_H = space.build(cand)
-        cand_key = space.orbit_key(cand, cand_H)
+        cand_key, cand_H = space.orbit_key(cand)
         if cand_key in tabu:
             stats["tabu_skips"] += 1
             if not fresh:
@@ -393,8 +384,10 @@ def _run_restart(args):
         while len(tabu) > tabu_horizon:
             tabu.popitem(last=False)
         spent += 1
-        cand_score, cand_H, cand_report = _evaluate(
-            space, cand, target, screen_budget, stats)
+        if cand_H is None:
+            cand_H = space.build(cand)
+        cand_score, cand_report = _evaluate(space, cand_H, target,
+                                            screen_budget, stats)
         if cand_report is not None:
             note_hit(cand, cand_H, cand_report)
         if fresh or cand_score >= score:
@@ -441,8 +434,8 @@ def split_search(base_m: int, split, target: SpectrumTarget | None = None, *,
             if space.fast_canon and space.canonical_bits(bits) != bits:
                 stats["orbit_skips"] += 1
                 continue
-            score, H, report = _evaluate(space, bits, target,
-                                         screen_budget, stats)
+            H = space.build(bits)
+            _score, report = _evaluate(space, H, target, screen_budget, stats)
             if report is not None:
                 key = canon.canonical_form(H)
                 if key not in hits:

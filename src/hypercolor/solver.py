@@ -51,6 +51,10 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised by the brute-force oracle when the assignment count is too big."""
 
 
+class InvalidWitnessError(RuntimeError):
+    """Raised when a search reports a witness that is not a complete coloring."""
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one existence query.
@@ -219,7 +223,6 @@ def exists_complete(H: Hypergraph, t: int, *,
     cov_cnt = [0] * total   # edges realizing each subset
     state = {"covered": 0, "covered_mask": 0, "open": m}
     class_mask = [0] * t
-    class_size = [0] * t
     bud = _Budget(budget)
 
     def edge_rank(j: int) -> int:
@@ -246,7 +249,6 @@ def exists_complete(H: Hypergraph, t: int, *,
             for w in neighbors[v]:
                 cnt[w][c] += 1
             class_mask[c] |= 1 << v
-            class_size[c] += 1
             closed = []
             ok = True
             for j in edges_of[v]:
@@ -281,7 +283,6 @@ def exists_complete(H: Hypergraph, t: int, *,
                     state["covered_mask"] &= ~(1 << r)
                 state["open"] += 1
             class_mask[c] &= ~(1 << v)
-            class_size[c] -= 1
             for w in neighbors[v]:
                 cnt[w][c] -= 1
             color_of[v] = -1
@@ -394,7 +395,10 @@ def spectrum(H: Hypergraph, *,
         res = exists_complete(H, t, budget=budget, seed=seed,
                               cover_prune=cover_prune)
         if res.status == "found":
-            assert res.witness is not None and is_complete(H, res.witness)
+            if res.witness is None or not is_complete(H, res.witness):
+                raise InvalidWitnessError(
+                    f"t={t}: the search returned {res.witness} as a witness, "
+                    "which is not a complete coloring")
             feasible.append(t)
             witnesses[t] = res.witness
         elif res.status == "budget_exhausted":

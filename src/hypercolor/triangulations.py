@@ -16,7 +16,6 @@ but no complete 5-coloring.
 
 from __future__ import annotations
 
-import json
 import warnings
 from functools import lru_cache
 
@@ -442,10 +441,3 @@ def embedding_index(classes) -> list[dict]:
             "eulerian": is_eulerian(e),
         })
     return rows
-
-
-def index_json(classes, *, pretty: bool = False) -> str:
-    doc = embedding_index(classes)
-    if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"

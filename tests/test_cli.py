@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -94,6 +95,16 @@ class TestSolve:
                            stdin=doc, monkeypatch=monkeypatch)
         assert code == 2
         assert json.loads(out)["unknown"] != []
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_budget_env_var_must_be_positive(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("HYPERCOLOR_BUDGET", raw)
+        doc = serialize_hypergraph(complete_uniform(8, 2))
+        code, out, err = run(capsys, ["solve", "-", "--spectrum"],
+                             stdin=doc, monkeypatch=monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert "HYPERCOLOR_BUDGET" in err
 
     def test_bad_json_exit_1(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["solve", "-", "--chi"],
@@ -199,6 +210,48 @@ class TestExport:
         assert code == 0
         assert out.startswith("graph incidence {")
         assert out.rstrip().endswith("}")
+
+
+# sha256 of documents the CLI writes, compact and --pretty; a digest that
+# moves means the output format changed
+OUTPUT_DIGESTS = {
+    ("gen regular15", False):
+        "71e0927bd893a785d15aa68a399f41ea56b28dbe162abb85cc81a081c9437f7f",
+    ("gen regular15", True):
+        "30c51634c78d2b984fb7a4c55ab20479040e2df18a88fcc13036ff5613713810",
+    ("solve K4_3 --spectrum", False):
+        "de81862d876d0098487ed1c1bcbdc8a5d6e415424c03404db6ac770742bca90c",
+    ("solve K4_3 --spectrum", True):
+        "2de00aec6f52b80a10fdd81e698bc8bf93b5ef30a92e2bfda0025bccb0e56b27",
+    ("tri enumerate --n 6", False):
+        "25cff87b565bc1bbc15cf1a2b0ca226045933d2d5f3cb98445fe57e4705ab43e",
+    ("tri enumerate --n 6", True):
+        "cf71d74e043ff8fea23aacce460a2b89a38fa94890da67a9667b7dc560c0e46e",
+    ("tri enumerate --n 5 --out: index.json", False):
+        "34a6fde49a16662400de08c2c7182df9f631e226dc038b855bb2b13755051a6b",
+    ("tri enumerate --n 5 --out: index.json", True):
+        "767976aa860667ed32f8f3d730c50f760f0e84f8c8e337b7df0051e903f59bf8",
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("command, pretty", sorted(OUTPUT_DIGESTS))
+    def test_digest(self, capsys, tmp_path, command, pretty):
+        k43 = tmp_path / "k43.json"
+        k43.write_text(serialize_hypergraph(complete_uniform(4, 3)))
+        outdir = tmp_path / "out"
+        argv = {
+            "gen regular15": ["gen", "regular15"],
+            "solve K4_3 --spectrum": ["solve", str(k43), "--spectrum"],
+            "tri enumerate --n 6": ["tri", "enumerate", "--n", "6"],
+            "tri enumerate --n 5 --out: index.json":
+                ["tri", "enumerate", "--n", "5", "--out", str(outdir)],
+        }[command]
+        code, out, _ = run(capsys, argv + (["--pretty"] if pretty else []))
+        assert code == 0
+        data = (outdir / "index.json").read_bytes() if "--out" in argv \
+            else out.encode()
+        assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[command, pretty]
 
 
 class TestRealPipes:

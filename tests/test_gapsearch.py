@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypercolor import (
 from hypercolor.canon import canonical_form
 from hypercolor.gapsearch import (
     SpectrumTarget,
+    _space,
     certify_gap_instance,
     split_search,
     structural_filters,
@@ -110,6 +112,49 @@ class TestSplitSearch:
             split_search(9, range(4), require={3})
         with pytest.raises(ValueError):
             split_search(5, (7,), require={3})
+
+
+class TestLiftSpace:
+    """The search builds lifts from slot bits; split_lift from patterns."""
+
+    @pytest.mark.parametrize("base_m, split, sample", [
+        (4, (0, 1), None),                # every pattern, 2**6
+        (5, (0, 1, 2, 3), 300),           # the order-9 space
+        (6, (0, 1, 2, 3, 4, 5), 100),     # the order-12 space
+    ])
+    def test_build_matches_split_lift(self, base_m, split, sample):
+        space = _space(base_m, split, 3)
+        if sample is None:
+            patterns = range(1 << space.B)
+        else:
+            rng = random.Random(base_m)
+            patterns = [rng.getrandbits(space.B) for _ in range(sample)]
+        for bits in patterns:
+            assert space.build(bits) == split_lift(space.pattern(bits))
+
+    @pytest.mark.parametrize("base_m, split, require, forbid, budget", [
+        (5, (0, 1, 2, 3), {3, 5}, {4}, 500),
+        (6, (0, 1, 2, 3, 4, 5), {3, 6}, {4, 5}, 300),
+    ])
+    def test_one_build_per_candidate(self, monkeypatch, base_m, split,
+                                     require, forbid, budget):
+        builds = 0
+        init = Hypergraph.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hypergraph, "__init__", counted)
+        res = split_search(base_m, split, require=require, forbid=forbid,
+                           budget=budget, seed=0)
+        st = res.stats
+        # the order-9 space keys orbits by slot bits and builds nothing for
+        # them; the order-12 space needs the lift for its canonical-form key,
+        # so a tabu skip there costs one build
+        skips = 0 if _space(base_m, split, 3).fast_canon else st["tabu_skips"]
+        assert builds <= st["candidates"] + skips + st["hits"] + 1
 
 
 class TestCertifyGapInstance:

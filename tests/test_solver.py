@@ -1,13 +1,19 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypercolor
 from hypercolor import (
     BudgetExhaustedError,
     Coloring,
     EnumerationCapExceeded,
     Hypergraph,
+    InvalidWitnessError,
     achromatic_number,
     brute_force_spectrum,
     chromatic_number,
@@ -19,6 +25,7 @@ from hypercolor import (
     psi_upper_bound,
     spectrum,
 )
+from hypercolor import solver
 
 from conftest import naive_spectrum, random_uniform_hypergraph
 
@@ -177,6 +184,44 @@ class TestSpectrum:
             H = random_uniform_hypergraph(
                 rng, n, 2, rng.randint(1, math.comb(n, 2)))
             assert set(spectrum(H).feasible) == naive_spectrum(H, n)
+
+
+# a search that claims an all-zero coloring, which is never complete
+_BAD_SEARCH = """
+from hypercolor import Coloring, SolveResult, solver
+
+def bad_exists_complete(H, t, **kwargs):
+    return SolveResult("found", Coloring((0,) * H.n, t), 1)
+"""
+
+
+class TestSpectrumWitnessCheck:
+    def test_incomplete_witness_raises(self, monkeypatch):
+        scope = {}
+        exec(_BAD_SEARCH, scope)
+        monkeypatch.setattr(solver, "exists_complete",
+                            scope["bad_exists_complete"])
+        with pytest.raises(InvalidWitnessError):
+            spectrum(complete_uniform(4, 3))
+
+    def test_check_runs_under_optimize(self):
+        # python -O strips assert statements; the witness check must stay
+        script = _BAD_SEARCH + """
+if __debug__:
+    raise SystemExit("not running under -O")
+from hypercolor import InvalidWitnessError, complete_uniform
+solver.exists_complete = bad_exists_complete
+try:
+    solver.spectrum(complete_uniform(4, 3))
+except InvalidWitnessError:
+    print("rejected")
+"""
+        src = str(Path(hypercolor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "rejected"
 
 
 class TestBruteForce:
