@@ -50,16 +50,19 @@ EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
 
-def _default_budget() -> int | None:
-    raw = os.environ.get("HYPERCOLOR_BUDGET")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DocumentError(f"HYPERCOLOR_BUDGET must be an integer, got {raw!r}")
+def _budget(args, default: int | None = None) -> int | None:
+    """--budget, else HYPERCOLOR_BUDGET, else ``default``; must be positive."""
+    source, value = "--budget", args.budget
+    if value is None:
+        source, raw = "HYPERCOLOR_BUDGET", os.environ.get("HYPERCOLOR_BUDGET")
+        if not raw:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise DocumentError(f"{source} must be an integer, got {raw!r}")
     if value <= 0:
-        raise DocumentError(f"HYPERCOLOR_BUDGET must be positive, got {raw!r}")
+        raise DocumentError(f"{source} must be positive, got {value}")
     return value
 
 
@@ -108,7 +111,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     H = parse_hypergraph(_read_text(args.file))
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     code = EXIT_OK
 
     if args.t is not None:
@@ -133,7 +136,7 @@ def _cmd_solve(args) -> int:
     else:
         rep = spectrum(H, budget=budget, seed=args.seed)
         doc = rep.to_dict()
-        if rep.unknown:
+        if rep.unknown or rep.chi is None:
             code = EXIT_UNDECIDED
     _emit(dump_json(doc, pretty=args.pretty), args.out)
     return code
@@ -151,9 +154,7 @@ def _features_dict(f: gapsearch.StructuralFeatures) -> dict:
 
 
 def _cmd_search_split(args) -> int:
-    budget = args.budget
-    if budget is None:
-        budget = _default_budget() or 20_000
+    budget = _budget(args, 20_000)
     result = gapsearch.split_search(
         args.base, _int_list(args.split),
         require=_int_list(args.require) if args.require else (),
@@ -224,7 +225,7 @@ def _cmd_tri_face(args) -> int:
 
 
 def _cmd_tri_find_gap(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     pairs = tri.find_gap_face_hypergraphs(args.n, budget=budget)
     doc = {
         "n": args.n,

@@ -521,13 +521,13 @@ class SpectrumReport:
 
     ``feasible`` lists every t with a verified complete t-coloring,
     ``unknown`` every t where the solver exhausted its budget without an
-    answer.  ``interpolation_holds`` records whether the verified feasible
-    values form a contiguous range (the question the counterexample
-    families answer in the negative); it is None when unknowns make the
-    call ambiguous.
+    answer (``chi`` is None if its search did).  ``interpolation_holds``
+    records whether the verified feasible values form a contiguous range
+    (the question the counterexample families answer in the negative); it
+    is None when unknowns make the call ambiguous.
     """
 
-    chi: int
+    chi: int | None
     psi: int
     feasible: tuple[int, ...]
     unknown: tuple[int, ...] = ()

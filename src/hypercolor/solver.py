@@ -44,7 +44,11 @@ _SUBSET_CAP = 500_000
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Raised by the number-valued queries when the node budget runs out."""
+    """A number-valued query ran out of nodes at ``t`` colors."""
+
+    def __init__(self, message: str, t: int | None = None):
+        super().__init__(message)
+        self.t = t
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -348,7 +352,7 @@ def chromatic_number(H: Hypergraph, *,
             return t
         if res.status == "budget_exhausted":
             raise BudgetExhaustedError(
-                f"chromatic number undecided at t={t} after {res.nodes} nodes")
+                f"chromatic number undecided at t={t} after {res.nodes} nodes", t)
         t += 1
 
 
@@ -362,7 +366,7 @@ def achromatic_number(H: Hypergraph, *,
             return t
         if res.status == "budget_exhausted":
             raise BudgetExhaustedError(
-                f"achromatic number undecided at t={t} after {res.nodes} nodes")
+                f"achromatic number undecided at t={t} after {res.nodes} nodes", t)
     return 0
 
 
@@ -371,11 +375,11 @@ def spectrum(H: Hypergraph, *,
              cover_prune: bool = True) -> SpectrumReport:
     """Full feasibility map over t = k .. psi_upper_bound.
 
-    The chromatic number is computed without a budget (properness search
-    is cheap at the scales the solver accepts); the per-t completeness
-    queries each get the full node budget, and budget-exhausted values go
-    to ``unknown``.  Every t below the chromatic number is infeasible
-    outright, with no search.
+    Every search gets the node budget: the chromatic number's, then one
+    completeness search per t from chi up; budget-exhausted values go to
+    ``unknown``.  If the chromatic-number search runs out at some t, chi
+    is None and the completeness searches start at that t, as no smaller
+    t has a proper coloring.
     """
     warnings = []
     iso = H.isolated_vertices()
@@ -384,14 +388,14 @@ def spectrum(H: Hypergraph, *,
     elif iso:
         warnings.append(f"{len(iso)} isolated vertices")
 
-    chi = chromatic_number(H, seed=seed)
+    try:
+        chi = lo = chromatic_number(H, budget=budget, seed=seed)
+    except BudgetExhaustedError as exc:
+        chi, lo = None, exc.t
     feasible = []
     unknown = []
     witnesses = {}
-    hi = psi_upper_bound(H)
-    for t in range(H.k, hi + 1):
-        if t < chi:
-            continue
+    for t in range(max(H.k, lo), psi_upper_bound(H) + 1):
         res = exists_complete(H, t, budget=budget, seed=seed,
                               cover_prune=cover_prune)
         if res.status == "found":

@@ -39,16 +39,24 @@ class Embedding:
     constructors that build valid embeddings by local surgery skip it.
     """
 
-    __slots__ = ("rotation", "_faces", "_canon", "_index")
+    __slots__ = ("rotation", "_faces", "_canon")
 
     def __init__(self, rotation, *, validate: bool = True):
         rot = tuple(tuple(int(w) for w in nbrs) for nbrs in rotation)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_index", None)
         if validate:
             self.validate()
+
+    @classmethod
+    def _trusted(cls, rot: tuple[tuple[int, ...], ...]) -> "Embedding":
+        """Wrap a rotation that is already valid and made of int tuples."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "rotation", rot)
+        object.__setattr__(e, "_faces", None)
+        object.__setattr__(e, "_canon", None)
+        return e
 
     def __setattr__(self, name, value):
         raise AttributeError("Embedding is immutable")
@@ -63,13 +71,6 @@ class Embedding:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rotation)
-
-    def _neighbor_index(self):
-        if self._index is None:
-            object.__setattr__(
-                self, "_index",
-                [{w: i for i, w in enumerate(r)} for r in self.rotation])
-        return self._index
 
     def validate(self) -> None:
         n = self.n
@@ -106,7 +107,7 @@ class Embedding:
         """All face cycles; each directed dart is used exactly once."""
         if self._faces is not None:
             return self._faces
-        idx = self._neighbor_index()
+        rot = self.rotation
         seen = set()
         out = []
         for a in range(self.n):
@@ -118,8 +119,8 @@ class Embedding:
                 while (u, v) not in seen:
                     seen.add((u, v))
                     cycle.append(u)
-                    nbrs = self.rotation[v]
-                    u, v = v, nbrs[(idx[v][u] + 1) % len(nbrs)]
+                    nbrs = rot[v]
+                    u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
                 out.append(tuple(cycle))
         object.__setattr__(self, "_faces", out)
         return out
@@ -132,40 +133,37 @@ class Embedding:
         return [(u, v) for u in range(self.n)
                 for v in self.rotation[u] if u < v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.rotation[u]
-
     def flip(self, u: int, v: int) -> "Embedding":
         """Replace edge uv by the opposite diagonal of its two triangles.
 
         Refused when the two faces at uv share their third vertex or when
         the diagonal already exists (both would break simplicity).
         """
-        idx = self._neighbor_index()
-        if v not in idx[u]:
-            raise EmbeddingError(f"{u}-{v} is not an edge")
         rot = self.rotation
-        dv, du = len(rot[v]), len(rot[u])
-        x = rot[v][(idx[v][u] + 1) % dv]   # face (u, v, x)
-        y = rot[u][(idx[u][v] + 1) % du]   # face (v, u, y)
-        if rot[x][(idx[x][v] + 1) % len(rot[x])] != u or \
-           rot[y][(idx[y][u] + 1) % len(rot[y])] != v:
+        if v not in rot[u]:
+            raise EmbeddingError(f"{u}-{v} is not an edge")
+
+        def succ(a, b):   # the neighbor after b in a's rotation
+            r = rot[a]
+            return r[(r.index(b) + 1) % len(r)]
+
+        x = succ(v, u)   # face (u, v, x)
+        y = succ(u, v)   # face (v, u, y)
+        if succ(x, v) != u or succ(y, u) != v:
             raise EmbeddingError(f"faces at {u}-{v} are not triangles")
         if x == y:
             raise UnflippableEdgeError(f"faces at {u}-{v} share vertex {x}")
-        if y in idx[x]:
+        if y in rot[x]:
             raise UnflippableEdgeError(f"diagonal {x}-{y} already present")
 
         new = list(rot)
-        ru = list(rot[u]); ru.remove(v)
-        rv = list(rot[v]); rv.remove(u)
-        rx = list(rot[x]); rx.insert(rx.index(v) + 1, y)   # v, y, u
-        ry = list(rot[y]); ry.insert(ry.index(u) + 1, x)   # u, x, v
-        new[u] = tuple(ru)
-        new[v] = tuple(rv)
-        new[x] = tuple(rx)
-        new[y] = tuple(ry)
-        return Embedding(new, validate=False)
+        new[u] = tuple(w for w in rot[u] if w != v)
+        new[v] = tuple(w for w in rot[v] if w != u)
+        i = rot[x].index(v) + 1
+        new[x] = rot[x][:i] + (y,) + rot[x][i:]   # v, y, u
+        i = rot[y].index(u) + 1
+        new[y] = rot[y][:i] + (x,) + rot[y][i:]   # u, x, v
+        return Embedding._trusted(tuple(new))
 
     def relabel(self, perm) -> "Embedding":
         """Apply a vertex permutation (perm[v] = new id of v)."""
@@ -179,53 +177,52 @@ class Embedding:
         return Embedding(tuple(tuple(reversed(r)) for r in self.rotation),
                          validate=False)
 
-    def _bfs_code(self, u0: int, v0: int, reverse: bool) -> bytes:
-        rot = self.rotation
-        idx = self._neighbor_index()
-        label = [-1] * self.n
-        label[u0] = 0
-        nxt = 1
-        order = [u0]
-        start = {u0: v0}
-        code = bytearray()
-        qi = 0
-        while qi < len(order):
-            w = order[qi]
-            qi += 1
-            nbrs = rot[w]
-            d = len(nbrs)
-            i0 = idx[w][start[w]]
-            step = -1 if reverse else 1
-            for j in range(d):
-                x = nbrs[(i0 + step * j) % d]
-                if label[x] < 0:
-                    label[x] = nxt
-                    nxt += 1
-                    order.append(x)
-                    start[x] = w
-                code.append(label[x])
-            code.append(0xFF)
-        return bytes(code)
-
     def canonical_form(self) -> bytes:
-        """Byte string invariant under relabeling, re-rooting, and reflection."""
+        """Byte string invariant under relabeling, re-rooting, and reflection.
+
+        bytes([n]) plus the least BFS code over the darts (u, v) of least
+        (deg u, deg v), in both orientations.  A code row lists a vertex's
+        neighbor labels around its rotation from its BFS parent, then 0xFF;
+        a start is dropped at its first row above the best code's.
+        """
         if self._canon is not None:
             return self._canon
-        deg = self.degrees()
-        best_pair = min((deg[u], deg[v])
-                        for u in range(self.n) for v in self.rotation[u])
+        rot = self.rotation
+        n = len(rot)
+        deg = [len(r) for r in rot]
+        du = min(deg)
+        dv = min(deg[w] for u in range(n) if deg[u] == du for w in rot[u])
+        starts = [(u, v) for u in range(n) if deg[u] == du
+                  for v in rot[u] if deg[v] == dv]
         best = None
-        for u in range(self.n):
-            for v in self.rotation[u]:
-                if (deg[u], deg[v]) != best_pair:
-                    continue
-                for reverse in (False, True):
-                    code = self._bfs_code(u, v, reverse)
-                    if best is None or code < best:
-                        best = code
-        result = bytes([self.n]) + best
-        object.__setattr__(self, "_canon", result)
-        return result
+        for rows in (rot, tuple(r[::-1] for r in rot)):
+            for u0, v0 in starts:
+                label, parent = [-1] * n, [0] * n
+                label[u0], parent[u0] = 0, v0
+                order, code = [u0], []
+                tie = best is not None
+                for w in order:
+                    nbrs = rows[w]
+                    i = nbrs.index(parent[w])
+                    row = []
+                    for x in nbrs[i:] + nbrs[:i]:
+                        lx = label[x]
+                        if lx < 0:
+                            label[x] = lx = len(order)
+                            parent[x] = w
+                            order.append(x)
+                        row.append(lx)
+                    row.append(0xFF)
+                    if tie:   # code equals best so far; compare this row
+                        ref = best[len(code):len(code) + len(row)]
+                        if row > ref:
+                            break
+                        tie = row == ref
+                    code += row
+                else:
+                    best = code
+        object.__setattr__(self, "_canon", bytes([n] + best))
+        return self._canon
 
     def __eq__(self, other):
         if not isinstance(other, Embedding):
@@ -284,10 +281,6 @@ def is_eulerian(e: Embedding) -> bool:
     return all(d % 2 == 0 for d in e.degrees())
 
 
-def _graph_hypergraph(e: Embedding) -> Hypergraph:
-    return Hypergraph(e.n, 2, e.edges())
-
-
 def three_coloring(e: Embedding) -> Coloring:
     """Proper 3-coloring of an Eulerian triangulation's graph.
 
@@ -299,7 +292,7 @@ def three_coloring(e: Embedding) -> Coloring:
         raise EmbeddingError("three_coloring needs a triangulation")
     if not is_eulerian(e):
         raise EmbeddingError("triangulation has odd-degree vertices")
-    res = exists_proper(_graph_hypergraph(e), 3)
+    res = exists_proper(Hypergraph(e.n, 2, e.edges()), 3)
     assert res.status == "found", "even degrees must admit a 3-coloring"
     return res.witness
 

@@ -106,6 +106,15 @@ class TestSolve:
         assert out == ""
         assert "HYPERCOLOR_BUDGET" in err
 
+    def test_spectrum_budget_bounds_chi(self, capsys, monkeypatch):
+        # the chi search on K8 needs 8 nodes, more than the budget
+        doc = serialize_hypergraph(complete_uniform(8, 2))
+        code, out, _ = run(capsys, ["solve", "-", "--spectrum", "--budget", "1"],
+                           stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["chi"] is None and rep["unknown"] == [8]
+
     def test_bad_json_exit_1(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["solve", "-", "--chi"],
                            stdin="nope", monkeypatch=monkeypatch)
@@ -200,6 +209,21 @@ class TestTri:
     def test_scale_guard_exit_1(self, capsys):
         code, _, err = run(capsys, ["tri", "enumerate", "--n", "30"])
         assert code == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "-", "--t", "8"],
+    ["search", "split", "--base", "4", "--split", "0", "--require", "4"],
+    ["tri", "find-gap", "--n", "6"],
+], ids=["solve", "search split", "tri find-gap"])
+def test_budget_flag_must_be_positive(capsys, monkeypatch, argv, budget):
+    doc = serialize_hypergraph(complete_uniform(8, 2))
+    code, out, err = run(capsys, argv + ["--budget", budget],
+                         stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "--budget" in err
 
 
 class TestExport:

@@ -178,6 +178,26 @@ class TestSpectrum:
         assert rep.unknown != ()
         assert set(rep.unknown) | set(rep.feasible) <= set(range(3, 8))
 
+    def test_budget_bounds_the_chi_search(self, monkeypatch):
+        # the chi search on K8 needs 8 nodes; with a budget of 1 the
+        # report leaves chi open instead of searching without limit
+        H = complete_uniform(8, 2)
+        with pytest.raises(BudgetExhaustedError):
+            chromatic_number(H, budget=1)
+        budgets = []
+        real = solver.exists_proper
+
+        def spy(H, t, *, budget=None, seed=0):
+            budgets.append(budget)
+            return real(H, t, budget=budget, seed=seed)
+
+        monkeypatch.setattr(solver, "exists_proper", spy)
+        rep = spectrum(H, budget=1)
+        assert budgets == [1]
+        assert rep.chi is None
+        assert rep.unknown == (8,) and rep.feasible == ()
+        assert spectrum(H).chi == 8
+
     def test_matches_naive(self, rng):
         for _ in range(12):
             n = rng.randint(3, 5)

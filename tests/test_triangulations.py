@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercolor import brute_force_spectrum, is_proper, spectrum
 from hypercolor.triangulations import (
@@ -113,7 +115,70 @@ class TestFlip:
             e.flip(0, 5)
 
 
+def reference_form(e):
+    """The full-code minimum over every least-degree-pair dart, no abort."""
+    deg = e.degrees()
+    pair = min((deg[u], deg[v]) for u in range(e.n) for v in e.rotation[u])
+    codes = []
+    for u0 in range(e.n):
+        for v0 in e.rotation[u0]:
+            if (deg[u0], deg[v0]) != pair:
+                continue
+            for step in (1, -1):
+                label, parent, order, code = {u0: 0}, {u0: v0}, [u0], []
+                for w in order:
+                    nbrs = e.rotation[w]
+                    i = nbrs.index(parent[w])
+                    for j in range(len(nbrs)):
+                        x = nbrs[(i + step * j) % len(nbrs)]
+                        if x not in label:
+                            label[x] = len(label)
+                            parent[x] = w
+                            order.append(x)
+                        code.append(label[x])
+                    code.append(0xFF)
+                codes.append(bytes(code))
+    return bytes([e.n]) + min(codes)
+
+
+# sha256 of the concatenated canonical forms and of repr(rotations) of
+# enumerate_triangulations(n), recorded before the early-abort rewrite
+ENUMERATION_DIGESTS = {
+    9: (50,
+        "7b207bc296305b2e887ea00b5413f9754306aaabcd74b84bea1d315e3066a070",
+        "3feca2c46ca1969a053d488af760d2ea28be114c1968951a184fd44b5ff7ec62"),
+    10: (233,
+         "46d102f6c8c67589b540f10f9d276879090ed10e5b92078e51a5bbc02f02e4fc",
+         "af724f76b97a6a88c34f8e0f36953cdbba3ac43edbdb5ec6f1ea86d48f994a8f"),
+}
+
+
 class TestCanonicalForm:
+    @pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+    def test_enumeration_digests(self, n):
+        classes = enumerate_triangulations(n)
+        count, forms, rotations = ENUMERATION_DIGESTS[n]
+        assert len(classes) == count
+        joined = b"".join(e.canonical_form() for e in classes)
+        assert hashlib.sha256(joined).hexdigest() == forms
+        text = repr([e.rotation for e in classes]).encode()
+        assert hashlib.sha256(text).hexdigest() == rotations
+
+    def test_matches_reference_on_every_class(self):
+        for n in range(4, 10):
+            for e in enumerate_triangulations(n):
+                assert e.canonical_form() == reference_form(e)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_relabelled_copies(self, data):
+        n = data.draw(st.integers(4, 10))
+        e = data.draw(st.sampled_from(enumerate_triangulations(n)))
+        r = e.relabel(data.draw(st.permutations(range(n))))
+        if data.draw(st.booleans()):
+            r = r.mirror()
+        assert r.canonical_form() == reference_form(r) == e.canonical_form()
+
     def test_invariance(self):
         rng = random.Random(11)
         for e in enumerate_triangulations(7):
@@ -229,3 +294,7 @@ class TestFindGap:
     def test_octahedron_not_a_hit(self):
         hits = find_gap_face_hypergraphs(6)
         assert hits == []
+
+    def test_budget_leaves_the_hit_out(self):
+        # the unique 12-vertex hit needs more than one node per search
+        assert find_gap_face_hypergraphs(12, budget=1) == []
