@@ -226,7 +226,7 @@ def _cmd_tri_face(args) -> int:
 
 def _cmd_tri_find_gap(args) -> int:
     budget = _budget(args)
-    pairs = tri.find_gap_face_hypergraphs(args.n, budget=budget)
+    pairs, undecided = tri._scan_gap_classes(args.n, budget)
     doc = {
         "n": args.n,
         "hits": [{
@@ -236,8 +236,10 @@ def _cmd_tri_find_gap(args) -> int:
             "report": rep.to_dict(),
         } for e, rep in pairs],
     }
+    if undecided:
+        doc["undecided"] = undecided
     _emit(dump_json(doc, pretty=args.pretty), args.out)
-    return EXIT_OK
+    return EXIT_UNDECIDED if undecided else EXIT_OK
 
 
 # ------------------------------------------------------------- export

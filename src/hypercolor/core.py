@@ -521,14 +521,16 @@ class SpectrumReport:
 
     ``feasible`` lists every t with a verified complete t-coloring,
     ``unknown`` every t where the solver exhausted its budget without an
-    answer (``chi`` is None if its search did).  ``interpolation_holds``
-    records whether the verified feasible values form a contiguous range
-    (the question the counterexample families answer in the negative); it
-    is None when unknowns make the call ambiguous.
+    answer (``chi`` is None if its search did).  ``psi`` is the largest
+    feasible t (0 if none), or None if an unknown t lies above it.
+    ``interpolation_holds`` records whether the verified feasible values
+    form a contiguous range (the question the counterexample families
+    answer in the negative); it is None when unknowns make the call
+    ambiguous.
     """
 
     chi: int | None
-    psi: int
+    psi: int | None
     feasible: tuple[int, ...]
     unknown: tuple[int, ...] = ()
     witnesses: dict = field(default_factory=dict)  # t -> Coloring

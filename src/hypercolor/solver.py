@@ -6,7 +6,15 @@ may only be tried if every color below c is already in use.  On top of
 properness the complete-coloring search maintains coverage state (which
 k-subsets of colors are already realized by a fully colored edge) and
 prunes branches whose remaining open edges cannot cover the missing
-subsets.
+subsets, or whose newest color class meets every edge while a subset
+without that color is still missing.
+
+Each assignment costs constant work per incident edge: every edge keeps
+a bitmask of its colors, a table built with the subset list maps a full
+mask to the subset's rank, each node keeps the ranks of the edges it
+closed so undo never recomputes them, and a per-color counter of the
+edges meeting the class (properness puts at most one vertex of a class
+on an edge) replaces a scan of all edges.
 
 Budgets are counted in nodes, one node per tentative vertex assignment,
 so a run is reproducible across machines.  The seed only permutes
@@ -201,92 +209,79 @@ def exists_complete(H: Hypergraph, t: int, *,
     cnt = _counts_factory(n, t)
     color_of = [-1] * n
 
-    edge_rows = H.edge_tuples()
     m = H.m
     edges_of: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(edge_rows):
+    for j, row in enumerate(H.edge_tuples()):
         for v in row:
             edges_of[v].append(j)
-    edge_bit = [0] * m
-    for j, row in enumerate(edge_rows):
-        mask = 0
-        for v in row:
-            mask |= 1 << v
-        edge_bit[j] = mask
 
-    # colex ranks of k-subsets of {0..t-1}; rank < total always
-    comb_local = [[math.comb(c, i + 1) for i in range(k)] for c in range(t)]
+    # colex rank of each k-subset of {0..t-1}, keyed by its color mask
     full_mask = (1 << total) - 1
     without = [full_mask] * t
+    rank_of = {}
     for sub in combinations(range(t), k):
         r = subset_rank(sub)
+        rank_of[sum(1 << c for c in sub)] = r
         for c in sub:
             without[c] &= ~(1 << r)
 
     rem = [k] * m           # uncolored vertices per edge
+    emask = [0] * m         # colors on each edge
     cov_cnt = [0] * total   # edges realizing each subset
-    state = {"covered": 0, "covered_mask": 0, "open": m}
-    class_mask = [0] * t
+    hit = [0] * t           # edges meeting each color class
+    covered = covered_mask = 0
+    n_open = m
     bud = _Budget(budget)
 
-    def edge_rank(j: int) -> int:
-        cols = sorted(color_of[v] for v in edge_rows[j])
-        r = 0
-        for i in range(k):
-            r += comb_local[cols[i]][i]
-        return r
-
     def descend(i: int, used: int) -> bool:
+        nonlocal covered, covered_mask, n_open
         if i == n:
-            return used == t and state["covered"] == total
-        remaining = n - i
-        if used + remaining < t:
+            return used == t and covered == total
+        if used + n - i < t:
             return False  # cannot open the missing color classes
         v = order[i]
         cv = cnt[v]
-        limit = min(used + 1, t)
-        for c in range(limit):
+        ev = edges_of[v]
+        for c in range(min(used + 1, t)):
             if cv[c]:
                 continue
             bud.spend()
             color_of[v] = c
             for w in neighbors[v]:
                 cnt[w][c] += 1
-            class_mask[c] |= 1 << v
-            closed = []
-            ok = True
-            for j in edges_of[v]:
+            bit = 1 << c
+            hit[c] += len(ev)  # properness: v's edges meet no other c vertex
+            closed = []  # ranks of the edges v closes
+            for j in ev:
+                emask[j] |= bit
                 rem[j] -= 1
                 if rem[j] == 0:
-                    state["open"] -= 1
-                    r = edge_rank(j)
-                    closed.append(j)
+                    r = rank_of[emask[j]]
+                    closed.append(r)
                     cov_cnt[r] += 1
                     if cov_cnt[r] == 1:
-                        state["covered"] += 1
-                        state["covered_mask"] |= 1 << r
-            if state["covered"] + state["open"] < total:
-                ok = False  # open edges too few for the uncovered subsets
-            if ok and cover_prune:
-                cm = class_mask[c]
-                if all(eb & cm for eb in edge_bit):
-                    # class c already meets every edge, so every subset
-                    # realized from now on contains c
-                    uncovered = full_mask ^ state["covered_mask"]
-                    if uncovered & without[c]:
-                        ok = False
+                        covered += 1
+                        covered_mask |= 1 << r
+            n_open -= len(closed)
+            # open edges too few for the uncovered subsets
+            ok = covered + n_open >= total
+            if ok and cover_prune and hit[c] == m:
+                # class c already meets every edge, so every subset
+                # realized from now on contains c
+                if (full_mask ^ covered_mask) & without[c]:
+                    ok = False
             if ok and descend(i + 1, max(used, c + 1)):
                 return True
-            for j in edges_of[v]:
+            for j in ev:
+                emask[j] ^= bit
                 rem[j] += 1
-            for j in closed:
-                r = edge_rank(j)
+            for r in closed:
                 cov_cnt[r] -= 1
                 if cov_cnt[r] == 0:
-                    state["covered"] -= 1
-                    state["covered_mask"] &= ~(1 << r)
-                state["open"] += 1
-            class_mask[c] &= ~(1 << v)
+                    covered -= 1
+                    covered_mask ^= 1 << r
+            n_open += len(closed)
+            hit[c] -= len(ev)
             for w in neighbors[v]:
                 cnt[w][c] -= 1
             color_of[v] = -1
@@ -379,7 +374,8 @@ def spectrum(H: Hypergraph, *,
     completeness search per t from chi up; budget-exhausted values go to
     ``unknown``.  If the chromatic-number search runs out at some t, chi
     is None and the completeness searches start at that t, as no smaller
-    t has a proper coloring.
+    t has a proper coloring.  psi is None when some unknown t lies above
+    every feasible one, as it could then be the achromatic number.
     """
     warnings = []
     iso = H.isolated_vertices()
@@ -408,6 +404,8 @@ def spectrum(H: Hypergraph, *,
         elif res.status == "budget_exhausted":
             unknown.append(t)
     psi = feasible[-1] if feasible else 0
+    if unknown and unknown[-1] > psi:
+        psi = None
     return SpectrumReport(chi=chi, psi=psi,
                           feasible=tuple(feasible),
                           unknown=tuple(unknown),

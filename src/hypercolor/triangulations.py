@@ -411,15 +411,23 @@ def find_gap_face_hypergraphs(n: int, *, budget: int | None = None):
     budget-exhausted t=5 or t=6 leaves a class out (its report would not
     verify the gap), consistent with the solver's unknown semantics.
     """
-    out = []
+    return _scan_gap_classes(n, budget)[0]
+
+
+def _scan_gap_classes(n: int, budget: int | None):
+    """(hits, undecided): the gap classes, and how many Eulerian classes
+    the budget left undecided at t=5 or t=6."""
+    hits = []
+    undecided = 0
     for e in enumerate_triangulations(n):
         if not is_eulerian(e):
             continue
         rep = spectrum(face_hypergraph(e), budget=budget)
-        if (6 in rep.feasible and 5 not in rep.feasible
-                and 5 not in rep.unknown and 6 not in rep.unknown):
-            out.append((e, rep))
-    return out
+        if 5 in rep.unknown or 6 in rep.unknown:
+            undecided += 1
+        elif 6 in rep.feasible and 5 not in rep.feasible:
+            hits.append((e, rep))
+    return hits, undecided
 
 
 def embedding_index(classes) -> list[dict]:

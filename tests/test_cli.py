@@ -114,6 +114,8 @@ class TestSolve:
         assert code == 2
         rep = json.loads(out)
         assert rep["chi"] is None and rep["unknown"] == [8]
+        assert rep["psi"] is None
+        assert '"psi":null' in out
 
     def test_bad_json_exit_1(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["solve", "-", "--chi"],
@@ -205,6 +207,14 @@ class TestTri:
         code, out, _ = run(capsys, ["tri", "find-gap", "--n", "8"])
         assert code == 0
         assert json.loads(out)["hits"] == []
+
+    def test_find_gap_budget_reports_undecided(self, capsys):
+        # one node per search decides none of the 8 Eulerian classes, so
+        # the empty hit list is not an answer
+        code, out, _ = run(capsys, ["tri", "find-gap", "--n", "12",
+                                    "--budget", "1"])
+        assert code == 2
+        assert json.loads(out) == {"n": 12, "hits": [], "undecided": 8}
 
     def test_scale_guard_exit_1(self, capsys):
         code, _, err = run(capsys, ["tri", "enumerate", "--n", "30"])

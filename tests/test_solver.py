@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypercolor
 from hypercolor import (
@@ -20,9 +23,12 @@ from hypercolor import (
     complete_uniform,
     exists_complete,
     exists_proper,
+    grid_transversal,
     is_complete,
     is_proper,
+    parse_hypergraph,
     psi_upper_bound,
+    regular15,
     spectrum,
 )
 from hypercolor import solver
@@ -108,6 +114,101 @@ class TestExistsComplete:
         H = complete_uniform(6, 3)
         assert exists_complete(H, 6, budget=2).status == "budget_exhausted"
         assert exists_complete(H, 6).status == "found"
+
+
+# (status, nodes) of exists_complete(..., seed=0), recorded before the
+# coverage bookkeeping was rewritten; any change to the visited tree shows
+_PINNED_TREES = [
+    ("grid36", 3, "found", 35),
+    ("grid36", 4, "found", 59),
+    ("grid36", 5, "found", 288),
+    ("grid36", 6, "found", 3407),
+    ("grid36", 9, "none", 131_840),
+    ("regular15", 4, "none", 760),
+    ("order12", 4, "none", 81),
+    ("order12", 5, "none", 473),
+]
+
+_CORPUS_DIGEST = (
+    "9c34bc3e41c170cf33113ddcec592fc0981b52d9a05a9a3055186c852d481523")
+
+
+def _pinned_instance(name):
+    if name == "grid36":
+        return grid_transversal(3, 6)
+    if name == "regular15":
+        return regular15()
+    data = Path(__file__).parent / "data" / f"{name}.json"
+    return parse_hypergraph(data.read_text())
+
+
+class TestSearchTree:
+    @pytest.mark.parametrize("name,t,status,nodes", _PINNED_TREES)
+    def test_pinned_nodes(self, name, t, status, nodes):
+        res = exists_complete(_pinned_instance(name), t, seed=0)
+        assert (res.status, res.nodes) == (status, nodes)
+
+    def test_refutation_without_cover_prune(self):
+        res = exists_complete(grid_transversal(3, 6), 9, seed=0,
+                              cover_prune=False)
+        assert (res.status, res.nodes) == ("none", 131_840)
+
+    def test_pinned_witness(self):
+        res = exists_complete(grid_transversal(3, 6), 6, seed=0)
+        assert res.witness.colors == (0, 3, 5, 4, 2, 1) * 3
+
+    def test_corpus_digest(self):
+        # statuses, node counts and witnesses on small random 3-uniform
+        # instances, every t up to the counting bound, prune on and off
+        rng = random.Random(5)
+        rows = []
+        for _ in range(60):
+            n = rng.randint(7, 11)
+            H = random_uniform_hypergraph(rng, n, 3, rng.randint(10, 40))
+            for t in range(3, psi_upper_bound(H) + 1):
+                for cp in (True, False):
+                    res = exists_complete(H, t, cover_prune=cp, seed=t)
+                    w = res.witness.colors if res.witness else None
+                    rows.append((t, cp, res.status, res.nodes, w))
+        assert len(rows) == 442
+        assert sum(r[3] for r in rows) == 3078
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == _CORPUS_DIGEST
+
+
+@st.composite
+def small_3_uniform(draw):
+    n = draw(st.integers(3, 8))
+    triples = list(itertools.combinations(range(n), 3))
+    edges = draw(st.lists(st.sampled_from(triples), min_size=1,
+                          max_size=12, unique=True))
+    return Hypergraph(n, 3, edges)
+
+
+class TestMetamorphic:
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(small_3_uniform(), st.randoms(use_true_random=False))
+    def test_spectrum_invariant_under_relabelling(self, H, r):
+        perm = list(range(H.n))
+        r.shuffle(perm)
+        G = Hypergraph(H.n, 3, [[perm[v] for v in e] for e in H.edge_tuples()])
+        a, b = spectrum(H), spectrum(G)
+        assert (a.chi, a.psi, a.feasible) == (b.chi, b.psi, b.feasible)
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(small_3_uniform())
+    def test_status_independent_of_seed(self, H):
+        for t in range(3, psi_upper_bound(H) + 1):
+            statuses = {exists_complete(H, t, seed=s).status
+                        for s in range(4)}
+            assert len(statuses) == 1, (t, statuses)
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(small_3_uniform())
+    def test_status_independent_of_cover_prune(self, H):
+        for t in range(3, psi_upper_bound(H) + 1):
+            assert (exists_complete(H, t, cover_prune=True).status
+                    == exists_complete(H, t, cover_prune=False).status)
 
 
 class TestBounds:
@@ -197,6 +298,18 @@ class TestSpectrum:
         assert rep.chi is None
         assert rep.unknown == (8,) and rep.feasible == ()
         assert spectrum(H).chi == 8
+
+    def test_budget_leaves_psi_open(self):
+        # K8 has psi 8, but with one node per search nothing is decided
+        rep = spectrum(complete_uniform(8, 2), budget=1)
+        assert rep.psi is None and rep.to_dict()["psi"] is None
+        # t = 6 and 7 run out above the verified 3, 4 and 5
+        rep = spectrum(grid_transversal(3, 5), budget=2000)
+        assert rep.feasible == (3, 4, 5) and rep.unknown == (6, 7)
+        assert rep.psi is None
+        # an unknown t below the largest feasible one leaves psi exact
+        rep = spectrum(regular15(), budget=100)
+        assert (rep.feasible, rep.unknown, rep.psi) == ((3, 5), (4,), 5)
 
     def test_matches_naive(self, rng):
         for _ in range(12):
