@@ -25,12 +25,10 @@ def _refine(colors: list[int], vertex_edges: list[list[int]],
             edges: list[tuple[int, ...]]) -> list[int]:
     n = len(colors)
     while True:
-        sigs = []
-        for v in range(n):
-            profile = sorted(
-                tuple(sorted(colors[w] for w in edges[j]))
-                for j in vertex_edges[v])
-            sigs.append((colors[v], tuple(profile)))
+        # each edge's sorted color tuple, once per round
+        profiles = [tuple(sorted([colors[w] for w in e])) for e in edges]
+        sigs = [(colors[v], tuple(sorted([profiles[j] for j in vertex_edges[v]])))
+                for v in range(n)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
         if new == colors:

@@ -33,8 +33,8 @@ class GridParams:
     """Parameters of the grid transversal family.
 
     k parts with r positions each; vertex id = part * r + position.
-    ``gap_range`` is the band of t values with no complete t-coloring
-    once the band is nonempty, which needs r >= (k-1)(k+2).
+    ``gap_range`` is the band of t values claimed to have no complete
+    t-coloring; it is empty for k = 3 and unverified for k >= 4.
     """
 
     k: int
@@ -51,8 +51,17 @@ class GridParams:
         return self.k * self.r
 
     def gap_range(self) -> range:
-        """Color counts t with no complete t-coloring (when nonempty)."""
+        """Color counts t claimed to have no complete t-coloring.
+
+        For k >= 4 this is ceil((k-2)r/(k-1)) + k + 1 .. r-1, a band no
+        exact search has confirmed yet.  For k = 3 it is empty: the same
+        formula gives ceil(r/2) + 4 .. r-1, but a mixed coloring (position
+        p <= t-4 gets color p, every other vertex color t-3+part) is
+        complete at every such t checked.
+        """
         lo = -((self.k - 2) * self.r // -(self.k - 1)) + self.k + 1
+        if self.k == 3:
+            return range(lo, lo)
         return range(lo, self.r)
 
     @property

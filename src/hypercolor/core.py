@@ -77,7 +77,7 @@ class Hypergraph:
         twice pass this; parsers of external documents do not.
     """
 
-    __slots__ = ("n", "k", "edges", "_tuples", "_hash")
+    __slots__ = ("n", "k", "edges", "_tuples", "_masks", "_hash")
 
     n: int
     k: int
@@ -97,6 +97,7 @@ class Hypergraph:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", arr)
         object.__setattr__(self, "_tuples", None)
+        object.__setattr__(self, "_masks", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -183,21 +184,23 @@ class Hypergraph:
     def isolated_vertices(self) -> list[int]:
         return [int(v) for v in np.nonzero(self.degrees() == 0)[0]]
 
-    def conflict_masks(self) -> list[int]:
+    def conflict_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of vertices sharing an edge with it.
 
-        Built once per instance in O(m * k^2); intended for the small
-        instances the exact solver operates on, not the bulk families.
+        Built once per instance in O(m * k^2) and cached; intended for the
+        small instances the exact solver operates on, not the bulk families.
         """
-        masks = [0] * self.n
-        for row in self.edge_tuples():
-            for i in range(self.k):
-                a = row[i]
-                for j in range(i + 1, self.k):
-                    b = row[j]
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
-        return masks
+        if self._masks is None:
+            masks = [0] * self.n
+            for row in self.edge_tuples():
+                for i in range(self.k):
+                    a = row[i]
+                    for j in range(i + 1, self.k):
+                        b = row[j]
+                        masks[a] |= 1 << b
+                        masks[b] |= 1 << a
+            object.__setattr__(self, "_masks", tuple(masks))
+        return self._masks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):

@@ -1,18 +1,25 @@
 """Search over split patterns for prescribed complete-coloring spectra.
 
 The search space for a (base_m, split, k) triple is one bit per
-(base edge, split member) slot.  Candidates are screened cheapest-first:
-a quick independent-set necessary condition, then properness at the
-smallest required t, then the forbidden values in increasing order, then
-the required values; survivors get an authoritative unlimited-budget
-spectrum and the target predicate is re-checked on that.
+(base edge, split member) slot.  Candidates are screened cheapest-first.
+The first two screens, a quick independent-set necessary condition and
+properness at the smallest required t, read the lift's conflict masks
+and degrees straight from the slot bits and run the solver's own
+proper-coloring search on them, so most candidates never become a
+``Hypergraph``.  Only a pattern that passes them gets its lift, for the
+forbidden values in increasing order, then the required values;
+survivors get an authoritative unlimited-budget spectrum and the target
+predicate is re-checked on that.
 
 Two modes share the pipeline.  When the whole lift space fits the
 candidate budget the search is exhaustive, skipping every pattern that
 is not the canonical representative of its symmetry orbit (base-vertex
 permutations preserving the split set, times copy swaps).  Otherwise it
 runs randomized restarts with single-bit local moves, sideways
-acceptance, and a tabu list of recently visited canonical forms.
+acceptance, and a tabu list of recently visited canonical forms.  When
+the symmetry group is too large to act on the bits, the orbit key is the
+lift's canonical form, and a candidate that passes the screens reuses
+that lift.
 
 Determinism: restart r uses random.Random(f"{seed}:{r}") and a fixed
 candidate quota, so the hit list depends only on (seed, budget), not on
@@ -36,9 +43,9 @@ from .constructions import SplitPattern, lift_layout
 from .core import Hypergraph, covers_all, independent_sets
 from .solver import (
     EnumerationCapExceeded,
+    _proper_search,
     brute_force_spectrum,
     exists_complete,
-    exists_proper,
     spectrum,
 )
 
@@ -125,17 +132,18 @@ def structural_filters(H: Hypergraph) -> StructuralFeatures:
     )
 
 
-def _has_independent_set(H: Hypergraph, size: int) -> bool:
+def _has_independent_set(conf, size: int) -> bool:
+    """Whether some `size` vertices are pairwise free of the conflict masks."""
+    n = len(conf)
     if size <= 0:
         return True
-    if size > H.n:
+    if size > n:
         return False
-    conf = H.conflict_masks()
 
     def rec(start: int, need: int, forb: int) -> bool:
         if need == 0:
             return True
-        for v in range(start, H.n - need + 1):
+        for v in range(start, n - need + 1):
             if not (forb >> v) & 1 and rec(v + 1, need - 1, forb | conf[v]):
                 return True
         return False
@@ -172,6 +180,17 @@ class _LiftSpace:
             self.edge_slots.append(sl)
         self.B = len(self.slots)
 
+        # per edge: its slots are consecutive, so (bits >> first) & width
+        # picks one of its lifts; per lift, (vertex, its co-members' bits)
+        self.lift_table = []
+        for (fixed, copies), sl in zip(self.rows, self.edge_slots):
+            lifts = []
+            for combo in range(1 << len(sl)):
+                row = fixed + [c + ((combo >> i) & 1) for i, c in enumerate(copies)]
+                word = sum(1 << v for v in row)
+                lifts.append(tuple((v, word ^ (1 << v)) for v in row))
+            self.lift_table.append((sl[0] if sl else 0, (1 << len(sl)) - 1, lifts))
+
         # symmetry action on slot bits: base permutations preserving the
         # split set, composed with per-vertex copy swaps
         sigmas = [p for p in permutations(range(base_m))
@@ -191,28 +210,38 @@ class _LiftSpace:
                     src[si, i2] = self.slot_index[(self.edge_index[e_old], inv[v2])]
             self.src = src
             rank = {v: p for p, v in enumerate(self.split)}
-            ranks = np.array([rank[v] for (_j, v) in self.slots])
-            masks = np.arange(1 << s, dtype=np.int64)
-            self.xor = ((masks[:, None] >> ranks[None, :]) & 1).astype(bool)
+            ranks = [rank[v] for (_j, v) in self.slots]
+            # per copy-swap set: the slot bits it flips, as one word
+            self.swaps = np.array(
+                [sum(1 << i for i, r in enumerate(ranks) if (mask >> r) & 1)
+                 for mask in range(1 << s)], dtype=np.uint64)
             self.powers = (np.uint64(1) << np.arange(self.B, dtype=np.uint64))
-
-    def bits_vector(self, bits: int) -> np.ndarray:
-        return np.array([(bits >> i) & 1 for i in range(self.B)], dtype=bool)
 
     def canonical_bits(self, bits: int) -> int:
         """Orbit minimum of the bit pattern under the symmetry action."""
         assert self.fast_canon
-        vec = self.bits_vector(bits)
-        perm = vec[self.src]                       # (S, B)
-        full = perm[:, None, :] ^ self.xor[None, :, :]
-        vals = (full.reshape(-1, self.B).astype(np.uint64) * self.powers).sum(axis=1)
-        return int(vals.min())
+        vec = np.array([(bits >> i) & 1 for i in range(self.B)], dtype=np.uint64)
+        words = (vec[self.src] * self.powers).sum(axis=1)   # one per base permutation
+        return int((words[:, None] ^ self.swaps[None, :]).min())
+
+    def screen_data(self, bits: int) -> tuple[list[int], list[int]]:
+        """Conflict masks and degrees of ``build(bits)``, from the slot bits.
+
+        Lifted rows are always distinct (the copy ids identify the base
+        members), so the lift keeps every row and nothing needs building.
+        """
+        masks = [0] * self.n
+        deg = [0] * self.n
+        for first, width, lifts in self.lift_table:
+            for v, others in lifts[(bits >> first) & width]:
+                masks[v] |= others
+                deg[v] += 1
+        return masks, deg
 
     def build(self, bits: int) -> Hypergraph:
         """split_lift(self.pattern(bits)) without the SplitPattern round trip."""
-        edges = [fixed + [c + ((bits >> slot) & 1)
-                          for c, slot in zip(copies, slots)]
-                 for (fixed, copies), slots in zip(self.rows, self.edge_slots)]
+        edges = [[v for v, _ in lifts[(bits >> first) & width]]
+                 for first, width, lifts in self.lift_table]
         return Hypergraph(self.n, self.k, edges, dedup=True)
 
     def pattern(self, bits: int) -> SplitPattern:
@@ -282,36 +311,47 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
     return rng.getrandbits(space.B) if space.B else 0
 
 
-def _evaluate(space: _LiftSpace, H: Hypergraph, target: SpectrumTarget,
-              screen_budget: int, stats: dict):
-    """Run the staged pipeline on a lift; returns (score, report-or-None)."""
+def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
+              screen_budget: int, stats: dict, H: Hypergraph | None = None):
+    """Run the staged pipeline on one pattern.
+
+    The independent-set and proper-coloring screens read conflict masks
+    and degrees straight from the slot bits; only a pattern that passes
+    them gets its lift, unless the caller passes the one its orbit key
+    already built.  Returns (score, report-or-None, lift-or-None).
+    """
     stats["candidates"] += 1
     score = 0
     tmin = min(target.require) if target.require else space.k
     need = -(-space.n // tmin)
-    if not _has_independent_set(H, need):
+    masks, deg = space.screen_data(bits)
+    if not _has_independent_set(masks, need):
         stats["screen_fail"] += 1
-        return score, None
+        return score, None, H
     score += 1
-    if exists_proper(H, tmin, budget=screen_budget).status != "found":
+    status, _colors, _nodes = _proper_search(
+        space.n, len(space.rows), space.k, masks, deg, tmin, screen_budget, 0)
+    if status != "found":
         stats["chi_fail"] += 1
-        return score, None
+        return score, None, H
     score += 1
+    if H is None:
+        H = space.build(bits)
     for t in sorted(target.forbid):
         if exists_complete(H, t, budget=screen_budget).status != "none":
             stats[f"forbid_fail_{t}"] += 1
-            return score, None
+            return score, None, H
         score += 1
     for t in sorted(target.require, reverse=True):
         if exists_complete(H, t, budget=screen_budget).status != "found":
             stats[f"require_fail_{t}"] += 1
-            return score, None
+            return score, None, H
         score += 1
     report = spectrum(H)
     if not target.matches(report):
         stats["full_check_fail"] += 1
-        return score, None
-    return score + 1, report
+        return score, None, H
+    return score + 1, report, H
 
 
 def _validate_hit(H: Hypergraph, report, target: SpectrumTarget, *,
@@ -384,10 +424,8 @@ def _run_restart(args):
         while len(tabu) > tabu_horizon:
             tabu.popitem(last=False)
         spent += 1
-        if cand_H is None:
-            cand_H = space.build(cand)
-        cand_score, cand_report = _evaluate(space, cand_H, target,
-                                            screen_budget, stats)
+        cand_score, cand_report, cand_H = _evaluate(
+            space, cand, target, screen_budget, stats, cand_H)
         if cand_report is not None:
             note_hit(cand, cand_H, cand_report)
         if fresh or cand_score >= score:
@@ -434,8 +472,8 @@ def split_search(base_m: int, split, target: SpectrumTarget | None = None, *,
             if space.fast_canon and space.canonical_bits(bits) != bits:
                 stats["orbit_skips"] += 1
                 continue
-            H = space.build(bits)
-            _score, report = _evaluate(space, H, target, screen_budget, stats)
+            _score, report, H = _evaluate(space, bits, target, screen_budget,
+                                          stats)
             if report is not None:
                 key = canon.canonical_form(H)
                 if key not in hits:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -102,20 +103,25 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _search_order(H: Hypergraph, seed: int) -> list[int]:
-    """Vertices by descending degree; seed shuffles only equal-degree ties."""
-    deg = H.degrees()
-    vs = list(range(H.n))
+@lru_cache(maxsize=64)
+def _shuffled(n: int, seed: int) -> tuple[int, ...]:
+    # a function of (n, seed) alone; the split-search screens ask for the
+    # same few tens of thousands of times
+    vs = list(range(n))
     random.Random(seed).shuffle(vs)
+    return tuple(vs)
+
+
+def _search_order(deg, seed: int) -> list[int]:
+    """Vertices by descending degree; seed shuffles only equal-degree ties."""
+    vs = list(_shuffled(len(deg), seed))
     vs.sort(key=lambda v: -int(deg[v]))  # stable: shuffled order within ties
     return vs
 
 
-def _neighbor_lists(H: Hypergraph) -> list[list[int]]:
-    masks = H.conflict_masks()
+def _neighbor_lists(masks) -> list[list[int]]:
     out = []
-    for v in range(H.n):
-        mask = masks[v]
+    for mask in masks:
         acc = []
         while mask:
             low = mask & -mask
@@ -133,26 +139,28 @@ def _counts_factory(n: int, t: int):
     return [[0] * t for _ in range(n)]
 
 
-def exists_proper(H: Hypergraph, t: int, *,
-                  budget: int | None = None, seed: int = 0) -> SolveResult:
-    """Decide whether a proper t-coloring exists."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if H.n == 0:
-        return SolveResult("found", Coloring((), t), 0)
-    if t == 0:
-        return SolveResult("none", None, 0)
-    if H.m == 0:
-        return SolveResult("found", Coloring((0,) * H.n, t), 0)
-    if t < H.k:
-        return SolveResult("none", None, 0)  # an edge needs k distinct colors
+def _proper_search(n: int, m: int, k: int, masks, deg, t: int,
+                   budget: int | None, seed: int):
+    """Proper t-coloring DFS on plain data: (status, colors or None, nodes).
 
-    order = _search_order(H, seed)
-    neighbors = _neighbor_lists(H)
-    cnt = _counts_factory(H.n, t)
-    color_of = [-1] * H.n
+    masks and deg are the conflict masks and degrees of a k-uniform
+    hypergraph with n vertices and m edges, so callers that hold them
+    without a Hypergraph (the split-search screens) share this search.
+    """
+    if n == 0:
+        return "found", [], 0
+    if t == 0:
+        return "none", None, 0
+    if m == 0:
+        return "found", [0] * n, 0
+    if t < k:
+        return "none", None, 0  # an edge needs k distinct colors
+
+    order = _search_order(deg, seed)
+    neighbors = _neighbor_lists(masks)
+    cnt = _counts_factory(n, t)
+    color_of = [-1] * n
     bud = _Budget(budget)
-    n = H.n
 
     def descend(i: int, used: int) -> bool:
         if i == n:
@@ -177,10 +185,25 @@ def exists_proper(H: Hypergraph, t: int, *,
     try:
         ok = descend(0, 0)
     except _OutOfBudget:
-        return SolveResult("budget_exhausted", None, bud.nodes)
+        return "budget_exhausted", None, bud.nodes
     if ok:
-        return SolveResult("found", Coloring(tuple(color_of), t), bud.nodes)
-    return SolveResult("none", None, bud.nodes)
+        return "found", color_of, bud.nodes
+    return "none", None, bud.nodes
+
+
+def exists_proper(H: Hypergraph, t: int, *,
+                  budget: int | None = None, seed: int = 0) -> SolveResult:
+    """Decide whether a proper t-coloring exists.
+
+    A thin wrapper around ``_proper_search``, the one proper-coloring
+    DFS, which the split-search screens also call on slot-bit data.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    status, colors, nodes = _proper_search(
+        H.n, H.m, H.k, H.conflict_masks(), H.degrees(), t, budget, seed)
+    witness = Coloring(tuple(colors), t) if status == "found" else None
+    return SolveResult(status, witness, nodes)
 
 
 def exists_complete(H: Hypergraph, t: int, *,
@@ -204,8 +227,8 @@ def exists_complete(H: Hypergraph, t: int, *,
 
     k = H.k
     n = H.n
-    order = _search_order(H, seed)
-    neighbors = _neighbor_lists(H)
+    order = _search_order(H.degrees(), seed)
+    neighbors = _neighbor_lists(H.conflict_masks())
     cnt = _counts_factory(n, t)
     color_of = [-1] * n
 

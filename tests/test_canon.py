@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,20 @@ from hypercolor import Hypergraph, complete_uniform, regular15
 from hypercolor.canon import are_isomorphic, canonical_form, canonical_labeling
 
 from conftest import random_uniform_hypergraph
+
+# sha256 of canonical_form and canonical_labeling over _corpus(), recorded
+# before _refine sorted each edge's colour tuple once per round
+_CORPUS_DIGEST = (
+    "2bdd80154966ba1299013bee01915e96f98ba6820793520f0da64910921fb1be")
+
+
+def _corpus():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        k = rng.randint(2, 3)
+        # at least n edges: isolated vertices multiply the leaves by n!
+        yield random_uniform_hypergraph(rng, n, k, rng.randint(n, 3 * n))
 
 
 def permuted(H, perm):
@@ -49,6 +64,13 @@ class TestCanonicalForm:
         forms = {canonical_form(permuted(H, p))
                  for p in itertools.permutations(range(5))}
         assert len(forms) == 1
+
+    def test_corpus_digest(self):
+        h = hashlib.sha256()
+        for H in _corpus():
+            h.update(canonical_form(H))
+            h.update(repr(canonical_labeling(H)).encode())
+        assert h.hexdigest() == _CORPUS_DIGEST
 
     def test_are_isomorphic(self):
         A = regular15()

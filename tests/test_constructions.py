@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,15 @@ from hypercolor import (
     spectrum,
 )
 from hypercolor.constructions import verify_grid_invariants
+
+
+def _independent():
+    """The benchmark's reference checks, which import nothing from hypercolor."""
+    path = Path(__file__).parents[1] / "perfbench" / "independent.py"
+    spec = importlib.util.spec_from_file_location("perfbench_independent", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def naive_grid_edges(k, r):
@@ -76,12 +87,24 @@ class TestGridFamily:
         assert is_complete(H, col)
 
     def test_gap_range_formula(self):
-        # ceil((k-2)r/(k-1)) + k + 1 .. r - 1, for the acceptance sizes
-        assert list(GridParams(3, 16).gap_range()) == list(range(12, 16))
+        # ceil((k-2)r/(k-1)) + k + 1 .. r - 1, for the acceptance sizes;
+        # empty at k = 3, where test_mixed_coloring_fills_k3_band refutes it
+        assert list(GridParams(3, 16).gap_range()) == []
         assert list(GridParams(4, 24).gap_range()) == list(range(21, 24))
         assert list(GridParams(5, 34).gap_range()) == list(range(32, 34))
         # degenerate: small r leaves nothing between the two colorings
         assert not GridParams(3, 3).gap_nonempty
+
+    @pytest.mark.parametrize("r, t", [(10, 9), (16, 12), (16, 13), (16, 14),
+                                      (16, 15)])
+    def test_mixed_coloring_fills_k3_band(self, r, t):
+        # t lies in ceil(r/2)+4 .. r-1, the band the formula gives at k = 3
+        H = grid_transversal(3, r)
+        colors = [q if q <= t - 4 else t - 3 + part
+                  for part in range(3) for q in range(r)]
+        assert is_complete(H, colors)
+        assert _independent().is_complete_coloring(H.n, 3, H.edge_tuples(),
+                                                   colors, t)
 
     def test_edge_count_closed_form(self):
         # independent count: per strictly-increasing position set, the

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypercolor import (
     Hypergraph,
     brute_force_spectrum,
     complete_uniform,
+    exists_proper,
     parse_hypergraph,
     regular15,
     spectrum,
@@ -22,8 +24,25 @@ from hypercolor.gapsearch import (
     split_search,
     structural_filters,
 )
+from hypercolor.solver import _proper_search
 
 DATA = Path(__file__).parent / "data"
+
+# sha256 over sorted stats and the JSON of every hit pattern and report of
+# the searches in _pinned_searches, recorded before the bit-level screens
+_SEARCH_DIGEST = (
+    "a4753a763847a2da9a0f724f7425c2f612b03dbfefcaa3c8e097e3f91a263922")
+
+
+def _pinned_searches():
+    yield split_search(5, range(4), require={3, 5}, forbid={4},
+                       budget=2000, seed=0)
+    yield split_search(5, range(4), require={3, 5}, forbid={4},
+                       budget=2000, seed=1)
+    yield split_search(6, range(6), require={3, 6}, forbid={4, 5},
+                       budget=400, seed=0)
+    # 2**6 patterns fit the budget: exhaustive mode
+    yield split_search(4, (0, 1), require={4}, budget=64, seed=0)
 
 
 class TestSpectrumTarget:
@@ -107,6 +126,17 @@ class TestSplitSearch:
         for pattern, report in res.hits:
             assert 4 in report.feasible
 
+    def test_stats_and_hits_digest(self):
+        results = list(_pinned_searches())
+        assert results[-1].stats["mode_exhaustive"] == 1
+        rows = []
+        for res in results:
+            rows.append(repr(sorted(res.stats.items())))
+            for pattern, report in res.hits:
+                rows += [pattern.to_json(), report.to_json()]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == _SEARCH_DIGEST
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             split_search(9, range(4), require={3})
@@ -114,23 +144,74 @@ class TestSplitSearch:
             split_search(5, (7,), require={3})
 
 
+_SPACES = [
+    (4, (0, 1), None),                # every pattern, 2**6
+    (5, (0, 1, 2, 3), 300),           # the order-9 space
+    (6, (0, 1, 2, 3, 4, 5), 100),     # the order-12 space
+]
+
+# chi-screen nodes summed over the patterns of each of _SPACES, recorded
+# with exists_proper before the screens shared its search
+_SCREEN_NODES = (216, 1065, 409)
+
+
+def _patterns(space, base_m, sample):
+    if sample is None:
+        return range(1 << space.B)
+    rng = random.Random(base_m)
+    return [rng.getrandbits(space.B) for _ in range(sample)]
+
+
 class TestLiftSpace:
     """The search builds lifts from slot bits; split_lift from patterns."""
 
-    @pytest.mark.parametrize("base_m, split, sample", [
-        (4, (0, 1), None),                # every pattern, 2**6
-        (5, (0, 1, 2, 3), 300),           # the order-9 space
-        (6, (0, 1, 2, 3, 4, 5), 100),     # the order-12 space
-    ])
+    @pytest.mark.parametrize("base_m, split, sample", _SPACES)
     def test_build_matches_split_lift(self, base_m, split, sample):
         space = _space(base_m, split, 3)
-        if sample is None:
-            patterns = range(1 << space.B)
-        else:
-            rng = random.Random(base_m)
-            patterns = [rng.getrandbits(space.B) for _ in range(sample)]
-        for bits in patterns:
+        for bits in _patterns(space, base_m, sample):
             assert space.build(bits) == split_lift(space.pattern(bits))
+
+    @pytest.mark.parametrize("base_m, split, sample", _SPACES)
+    def test_screen_data_matches_lift(self, base_m, split, sample):
+        space = _space(base_m, split, 3)
+        for bits in _patterns(space, base_m, sample):
+            H = space.build(bits)
+            masks, deg = space.screen_data(bits)
+            assert tuple(masks) == H.conflict_masks()
+            assert deg == H.degrees().tolist()
+
+    @pytest.mark.parametrize("base_m, split, sample", [
+        (4, (0, 1), None), (5, (0, 1, 2, 3), 40)])
+    def test_canonical_bits_matches_loop(self, base_m, split, sample):
+        # orbit minimum over every base permutation and copy-swap set,
+        # one slot at a time
+        space = _space(base_m, split, 3)
+        rank = {v: p for p, v in enumerate(space.split)}
+        for bits in _patterns(space, base_m, sample):
+            want = min(
+                sum((((bits >> j) ^ (swap >> rank[space.slots[i][1]])) & 1) << i
+                    for i, j in enumerate(row))
+                for row in space.src.tolist()
+                for swap in range(1 << len(space.split)))
+            assert space.canonical_bits(bits) == want
+
+    @pytest.mark.parametrize("base_m, split, sample, total", [
+        spec + (nodes,) for spec, nodes in zip(_SPACES, _SCREEN_NODES)])
+    def test_screen_kernel_matches_exists_proper(self, base_m, split, sample,
+                                                 total):
+        # the chi screen's search is exists_proper's, node for node
+        space = _space(base_m, split, 3)
+        nodes = 0
+        for bits in _patterns(space, base_m, sample):
+            masks, deg = space.screen_data(bits)
+            got = _proper_search(space.n, len(space.rows), 3, masks, deg, 3,
+                                 200_000, 0)
+            res = exists_proper(space.build(bits), 3, budget=200_000)
+            witness = res.witness.colors if res.witness else None
+            assert (got[0], got[2]) == (res.status, res.nodes)
+            assert (tuple(got[1]) if got[1] else None) == witness
+            nodes += got[2]
+        assert nodes == total
 
     @pytest.mark.parametrize("base_m, split, require, forbid, budget", [
         (5, (0, 1, 2, 3), {3, 5}, {4}, 500),
@@ -150,11 +231,15 @@ class TestLiftSpace:
         res = split_search(base_m, split, require=require, forbid=forbid,
                            budget=budget, seed=0)
         st = res.stats
-        # the order-9 space keys orbits by slot bits and builds nothing for
-        # them; the order-12 space needs the lift for its canonical-form key,
-        # so a tabu skip there costs one build
-        skips = 0 if _space(base_m, split, 3).fast_canon else st["tabu_skips"]
-        assert builds <= st["candidates"] + skips + st["hits"] + 1
+        # the order-9 space keys orbits by slot bits and screens from them,
+        # so only chi-screen survivors get a lift; the order-12 space builds
+        # one per canonical-form key (every candidate and tabu skip), which
+        # its survivors reuse; each hit is rebuilt once for validation
+        if _space(base_m, split, 3).fast_canon:
+            lifts = st["candidates"] - st["screen_fail"] - st["chi_fail"]
+        else:
+            lifts = st["candidates"] + st["tabu_skips"]
+        assert builds == lifts + st["hits"]
 
 
 class TestCertifyGapInstance:
