@@ -11,7 +11,8 @@ are isomorphic iff their forms are equal byte strings, and
 
 Meant for search-scale instances (n up to a few dozen); cost grows with
 the automorphism group, e.g. the complete uniform hypergraphs branch
-n! / (cells) times.
+n! / (cells) times.  A cell of isolated vertices is the one exception:
+it branches on its first member only.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def _search(H: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
             if best is None or code < best[0]:
                 best = (code, tuple(colors))
             return
+        if not any(vertex_edges[v] for v in target):
+            # swapping two isolated vertices is an automorphism, so every
+            # branch of this cell reaches the same codes as the first
+            target = target[:1]
         for v in target:
             branched = [c * 2 for c in colors]
             branched[v] -= 1

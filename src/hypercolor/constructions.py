@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Coloring, DocumentError, Hypergraph, dump_json
+from .core import Coloring, DocumentError, Hypergraph, _chunks, dump_json
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
@@ -82,28 +82,35 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
     params = GridParams(k, r)
     if r ** k > _GRID_SCAN_CAP:
         raise ValueError(f"r**k = {r ** k} assignments exceed the generator cap")
-    offs = (np.arange(k, dtype=np.int32) * r).astype(np.int16)
-    rest = np.indices((r,) * (k - 1), dtype=np.int16).reshape(k - 1, -1).T
-    pairs = list(combinations(range(k), 2))
-    chunks = []
+    # positions q_1..q_{k-1} of every tail, one contiguous vector per part,
+    # tails in lexicographic order; their pair tests are shared by all q_0
+    tail = np.indices((r,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)
+    distinct = np.ones(tail.shape[1], dtype=bool)
+    adjacent = np.zeros(tail.shape[1], dtype=np.int8)
+    for i, j in combinations(range(k - 1), 2):
+        d = tail[i] - tail[j]
+        distinct &= d != 0
+        adjacent += (d == 1) | (d == -1)
+    increasing = (tail[1:] > tail[:-1]).all(axis=0)
+    keep = []
     for q0 in range(r):
-        cols = np.empty((rest.shape[0], k), dtype=np.int16)
-        cols[:, 0] = q0
-        cols[:, 1:] = rest
-        distinct = np.ones(cols.shape[0], dtype=bool)
-        adjacent = np.zeros(cols.shape[0], dtype=np.int8)
-        for i, j in pairs:
-            d = cols[:, i].astype(np.int32) - cols[:, j].astype(np.int32)
-            distinct &= d != 0
-            adjacent += np.abs(d) == 1
-        increasing = np.ones(cols.shape[0], dtype=bool)
-        for i in range(k - 1):
-            increasing &= cols[:, i] < cols[:, i + 1]
-        mask = distinct & ((adjacent <= 1) | increasing)
-        if mask.any():
-            chunks.append(cols[mask] + offs[None, :])
-    edges = (np.concatenate(chunks, axis=0) if chunks
-             else np.empty((0, k), dtype=np.int16))
+        ok = distinct.copy()
+        adj = adjacent.copy()
+        for q in tail:
+            ok &= q != q0
+            adj += (q == q0 - 1) | (q == q0 + 1)
+        keep.append(ok & ((adj <= 1) | (increasing & (tail[0] > q0))))
+    # each q0's rows are its kept tail rows with q0 in front
+    block = np.empty((tail.shape[1], k), dtype=np.int16)
+    for i, q in enumerate(tail, start=1):
+        block[:, i] = q + i * r
+    counts = [int(np.count_nonzero(mask)) for mask in keep]
+    edges = np.empty((sum(counts), k), dtype=np.int16)
+    lo = 0
+    for q0, (mask, count) in enumerate(zip(keep, counts)):
+        block[:, 0] = q0
+        np.compress(mask, block, axis=0, out=edges[lo:lo + count])
+        lo += count
     return Hypergraph(params.n, k, edges)
 
 
@@ -133,25 +140,23 @@ def verify_grid_invariants(H: Hypergraph, k: int, r: int) -> dict[str, bool]:
     pairs = list(combinations(range(k), 2))
     positions_distinct = True
     parts_distinct = True
-    seen = np.zeros((n, n), dtype=bool)
-    step = 2_000_000
-    for lo in range(0, H.m, step):
-        E = H.edges[lo:lo + step]
-        pos = E % r
-        part = E // r
+    position = (np.arange(n) % r).astype(np.int16)
+    seen = np.zeros(n * n, dtype=bool)  # co-edged pairs, keyed a * n + b
+    for sl in _chunks(H.m):
+        cols = [H.edges[sl, i].astype(np.intp) for i in range(k)]
+        pos = [np.take(position, v) for v in cols]
+        for i, v in enumerate(cols):
+            if not bool(((v >= i * r) & (v < (i + 1) * r)).all()):
+                parts_distinct = False
         for i, j in pairs:
-            if bool((pos[:, i] == pos[:, j]).any()):
+            if bool((pos[i] == pos[j]).any()):
                 positions_distinct = False
-        if not bool((part == np.arange(k, dtype=E.dtype)[None, :]).all()):
-            parts_distinct = False
-        flat = E.astype(np.int64)
-        for i, j in pairs:
-            seen[flat[:, i], flat[:, j]] = True
+            seen[cols[i] * n + cols[j]] = True
     ids = np.arange(n)
     pu, qu = ids // r, ids % r
     expected = ((pu[:, None] != pu[None, :]) & (qu[:, None] != qu[None, :])
                 & (ids[:, None] < ids[None, :]))
-    cross = bool((seen == expected).all())
+    cross = bool((seen.reshape(n, n) == expected).all())
     return {
         "positions_distinct": positions_distinct,
         "parts_distinct": parts_distinct,

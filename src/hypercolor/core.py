@@ -5,8 +5,11 @@ as a read-only (m, k) numpy array whose rows are sorted ascending and
 ordered lexicographically, so equal hypergraphs have identical storage and
 serialize to identical bytes.  The array representation is what lets the
 large constructed families (tens of millions of edges) stay workable in a
-few hundred MB; every predicate below streams over edge chunks instead of
-materializing per-edge Python objects.
+few hundred MB.  The bulk paths work one column at a time over chunks of
+edges, never on per-edge Python objects or (m, k) temporaries: the
+predicates gather colors per column and sort each row with a
+compare-exchange network over the k columns, and construction checks row
+order column by column, sorting only what is out of order.
 
 Degenerate-instance conventions, used consistently across the package:
 
@@ -24,13 +27,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Rows per chunk for streaming predicates.  ~2M rows * k columns keeps
-# transient buffers well under 100 MB for k <= 8.
-_CHUNK_ROWS = 2_000_000
+# Rows per chunk for the bulk paths: 64k rows keep each column's
+# temporaries in cache (measured faster than 2M-row chunks).
+_CHUNK_ROWS = 1 << 16
 
 
 class HypergraphError(ValueError):
@@ -61,6 +65,22 @@ def _dtype_for(n: int) -> np.dtype:
     if n <= np.iinfo(np.int32).max:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def _row_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row after the first: (lexicographically later, equal) than
+    the row before it, one column and one chunk of rows at a time."""
+    later, equal = [], []
+    for sl in _chunks(arr.shape[0] - 1):
+        a, b = arr[sl.start + 1:sl.stop + 1], arr[sl]
+        gt = a[:, 0] > b[:, 0]
+        eq = a[:, 0] == b[:, 0]
+        for i in range(1, arr.shape[1]):
+            gt |= eq & (a[:, i] > b[:, i])
+            eq &= a[:, i] == b[:, i]
+        later.append(gt)
+        equal.append(eq)
+    return np.concatenate(later), np.concatenate(equal)
 
 
 class Hypergraph:
@@ -105,59 +125,67 @@ class Hypergraph:
 
     @staticmethod
     def _coerce(n: int, k: int, edges) -> np.ndarray:
+        """(m, k) copy in the id dtype; ids are range-checked before the
+        narrowing, so a large id cannot wrap into range."""
         if isinstance(edges, np.ndarray):
             if edges.ndim != 2 or (edges.shape[0] > 0 and edges.shape[1] != k):
                 raise UniformityError(
                     f"edge array must have shape (m, {k}), got {edges.shape}")
             if not np.issubdtype(edges.dtype, np.integer):
                 raise DocumentError("edge array must be integral")
-            return edges.astype(_dtype_for(n), copy=True).reshape(-1, k)
-        rows = []
-        for e in edges:
-            row = [int(v) for v in e]
-            if len(row) != k:
-                raise UniformityError(
-                    f"edge {row} has {len(row)} vertices, expected {k}")
-            rows.append(row)
-        if not rows:
-            return np.empty((0, k), dtype=_dtype_for(n))
-        return np.array(rows, dtype=_dtype_for(n))
+            arr = edges.reshape(-1, k)
+        else:
+            if not isinstance(edges, (list, tuple)):
+                edges = list(edges)
+            try:
+                arr = np.array(edges)
+            except ValueError:  # ragged rows
+                arr = np.empty(0)
+            if not (arr.ndim == 2 and arr.shape[1] == k
+                    and np.issubdtype(arr.dtype, np.integer)):
+                # per-row loop: int() each id, name the first bad row
+                rows = []
+                for e in edges:
+                    row = [int(v) for v in e]
+                    if len(row) != k:
+                        raise UniformityError(
+                            f"edge {row} has {len(row)} vertices, expected {k}")
+                    rows.append(row)
+                arr = np.array(rows).reshape(-1, k)
+        if arr.size:
+            lo = int(arr.min())
+            hi = int(arr.max())
+            if lo < 0 or hi >= n:
+                bad = lo if lo < 0 else hi
+                raise VertexRangeError(f"vertex id {bad} out of range for n={n}")
+        return arr.astype(_dtype_for(n))
 
     @staticmethod
     def _canonicalize(n: int, k: int, arr: np.ndarray, dedup: bool) -> np.ndarray:
         m = arr.shape[0]
         if m == 0:
             return arr
-        lo = int(arr.min())
-        hi = int(arr.max())
-        if lo < 0 or hi >= n:
-            bad = lo if lo < 0 else hi
-            raise VertexRangeError(f"vertex id {bad} out of range for n={n}")
-        arr = np.sort(arr, axis=1)
-        if np.any(np.diff(arr, axis=1) == 0):
-            i = int(np.nonzero(np.any(np.diff(arr, axis=1) == 0, axis=1))[0][0])
-            raise UniformityError(f"edge {arr[i].tolist()} repeats a vertex")
-        # lexicographic row order; skip the sort when rows already comply
-        # (the bulk generators emit in order, and lexsort on 30M rows is slow)
+        # sort each row unless every column already lies below the next
+        # (the bulk generators emit sorted rows)
+        if not all(bool((arr[:, i] < arr[:, i + 1]).all()) for i in range(k - 1)):
+            arr = np.sort(arr, axis=1)
+            repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
+            if repeats.any():
+                raise UniformityError(
+                    f"edge {arr[int(repeats.argmax())].tolist()} repeats a vertex")
         if m > 1:
-            neq = arr[1:] != arr[:-1]
-            first = np.where(neq.any(axis=1), neq.argmax(axis=1), k - 1)
-            take = np.arange(m - 1)
-            cmp = arr[1:][take, first].astype(np.int64) - arr[:-1][take, first].astype(np.int64)
-            sorted_ok = bool((cmp > 0).all())
-            has_dup = bool((cmp == 0).any())
-            if not sorted_ok:
-                order = np.lexsort(arr.T[::-1])
-                arr = arr[order]
-                neq = arr[1:] != arr[:-1]
-                has_dup = bool((~neq.any(axis=1)).any())
-            if has_dup:
+            # lexicographic row order; skip the sort when rows already comply
+            # (lexsort on 30M rows is slow)
+            later, equal = _row_steps(arr)
+            if not later.all():
+                arr = arr[np.lexsort(arr.T[::-1])]
+                equal = _row_steps(arr)[1]
+            if equal.any():
                 if not dedup:
-                    neq2 = arr[1:] != arr[:-1]
-                    i = int(np.nonzero(~neq2.any(axis=1))[0][0])
-                    raise SimplicityError(f"duplicate edge {arr[i].tolist()}")
-                keep = np.ones(arr.shape[0], dtype=bool)
-                keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+                    raise SimplicityError(
+                        f"duplicate edge {arr[int(equal.argmax())].tolist()}")
+                keep = np.ones(m, dtype=bool)
+                keep[1:] = ~equal
                 arr = arr[keep]
         return np.ascontiguousarray(arr)
 
@@ -172,7 +200,7 @@ class Hypergraph:
         """Edges as sorted tuples, in storage order.  Cached; avoid on huge instances."""
         if self._tuples is None:
             object.__setattr__(self, "_tuples",
-                               [tuple(map(int, row)) for row in self.edges])
+                               list(map(tuple, self.edges.tolist())))
         return self._tuples
 
     def degrees(self) -> np.ndarray:
@@ -187,18 +215,19 @@ class Hypergraph:
     def conflict_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of vertices sharing an edge with it.
 
-        Built once per instance in O(m * k^2) and cached; intended for the
-        small instances the exact solver operates on, not the bulk families.
+        Built once per instance and cached; the co-edged pairs are
+        deduplicated as ``a * n + b`` keys first, in O(m * k^2) memory.
         """
         if self._masks is None:
-            masks = [0] * self.n
-            for row in self.edge_tuples():
-                for i in range(self.k):
-                    a = row[i]
-                    for j in range(i + 1, self.k):
-                        b = row[j]
-                        masks[a] |= 1 << b
-                        masks[b] |= 1 << a
+            n = self.n
+            E = self.edges.astype(np.int64)
+            keys = np.unique(np.concatenate(
+                [E[:, i] * n + E[:, j] for i in range(self.k)
+                 for j in range(i + 1, self.k)]))
+            masks = [0] * n
+            for a, b in zip((keys // n).tolist(), (keys % n).tolist()):
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
             object.__setattr__(self, "_masks", tuple(masks))
         return self._masks
 
@@ -269,16 +298,7 @@ def _as_color_array(H: Hypergraph, coloring) -> tuple[np.ndarray, int]:
     if arr.shape != (H.n,):
         raise ValueError(f"coloring has {arr.shape[0] if arr.ndim else 0} "
                          f"entries, hypergraph has {H.n} vertices")
-    return arr, t
-
-
-def _comb_table(t: int, k: int) -> np.ndarray:
-    """table[v, i] = C(v, i+1) for 0 <= v <= t, 0 <= i < k."""
-    tab = np.zeros((t + 1, k), dtype=np.int64)
-    for v in range(t + 1):
-        for i in range(k):
-            tab[v, i] = math.comb(v, i + 1)
-    return tab
+    return arr.astype(_dtype_for(t)), t
 
 
 def subset_rank(sorted_colors: Sequence[int]) -> int:
@@ -309,6 +329,21 @@ def _chunks(m: int) -> Iterator[slice]:
         yield slice(lo, min(lo + _CHUNK_ROWS, m))
 
 
+def _sorted_colors(arr: np.ndarray, E: np.ndarray) -> list[np.ndarray] | None:
+    """Each edge's colors in ascending order, one array per position (a
+    compare-exchange network over the k columns), or None if an edge
+    repeats a color."""
+    k = E.shape[1]
+    c = [np.take(arr, E[:, i]) for i in range(k)]
+    for top in range(k - 1, 0, -1):
+        for i in range(top):
+            c[i], c[i + 1] = np.minimum(c[i], c[i + 1]), np.maximum(c[i], c[i + 1])
+    for i in range(k - 1):
+        if bool((c[i] == c[i + 1]).any()):
+            return None
+    return c
+
+
 def is_proper(H: Hypergraph, coloring) -> bool:
     """Whether no edge sees the same color twice.
 
@@ -316,22 +351,7 @@ def is_proper(H: Hypergraph, coloring) -> bool:
     true when the hypergraph has no edges.
     """
     arr, _t = _as_color_array(H, coloring)
-    if H.m == 0:
-        return True
-    k = H.k
-    for sl in _chunks(H.m):
-        cols = arr[H.edges[sl]]
-        if k <= 8:
-            # pairwise compare beats a row sort for small k
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if bool((cols[:, i] == cols[:, j]).any()):
-                        return False
-        else:
-            s = np.sort(cols, axis=1)
-            if bool((np.diff(s, axis=1) == 0).any()):
-                return False
-    return True
+    return all(_sorted_colors(arr, H.edges[sl]) is not None for sl in _chunks(H.m))
 
 
 def is_complete(H: Hypergraph, coloring) -> bool:
@@ -353,16 +373,16 @@ def is_complete(H: Hypergraph, coloring) -> bool:
         return False  # counting bound: m edges cannot realize more subsets
     if int(np.bincount(arr, minlength=t).min()) == 0:
         return False
-    tab = _comb_table(t, k)
+    # colex rank = sum of tab[i][c[i]] = C(c[i], i+1); every partial sum is
+    # below total, so capping the entries at total lets them take its dtype
+    tab = [np.array([min(math.comb(v, i + 1), total) for v in range(t + 1)],
+                    dtype=_dtype_for(total)) for i in range(k)]
     seen = np.zeros(total, dtype=bool)
-    offsets = np.arange(k)
     for sl in _chunks(H.m):
-        cols = arr[H.edges[sl]]
-        s = np.sort(cols, axis=1)
-        if bool((np.diff(s, axis=1) == 0).any()):
+        c = _sorted_colors(arr, H.edges[sl])
+        if c is None:
             return False
-        ranks = tab[s, offsets].sum(axis=1)
-        seen[ranks] = True
+        seen[sum(np.take(col, ci) for col, ci in zip(tab, c))] = True
     return bool(seen.all())
 
 
@@ -467,8 +487,7 @@ def dump_json(doc, *, pretty: bool = False) -> str:
 
 
 def hypergraph_to_dict(H: Hypergraph) -> dict:
-    return {"k": H.k, "n": H.n,
-            "edges": [[int(v) for v in row] for row in H.edges]}
+    return {"k": H.k, "n": H.n, "edges": H.edges.tolist()}
 
 
 def serialize_hypergraph(H: Hypergraph, *, pretty: bool = False) -> str:
@@ -506,12 +525,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise DocumentError("field 'edges' must be a list")
-    for e in edges:
-        if not isinstance(e, list):
-            raise DocumentError(f"edge {e!r} must be a list")
-        for v in e:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DocumentError(f"vertex id {v!r} must be an integer")
+    # screen the types at C speed; walk the items only to name a bad one
+    if not (set(map(type, edges)) <= {list}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        for e in edges:
+            if not isinstance(e, list):
+                raise DocumentError(f"edge {e!r} must be a list")
+            for v in e:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise DocumentError(f"vertex id {v!r} must be an integer")
     return Hypergraph(n, k, edges)
 
 

@@ -1,9 +1,16 @@
 import hashlib
 import itertools
 import random
+import time
 
 from hypercolor import Hypergraph, complete_uniform, regular15
-from hypercolor.canon import are_isomorphic, canonical_form, canonical_labeling
+from hypercolor.canon import (
+    _encode,
+    _refine,
+    are_isomorphic,
+    canonical_form,
+    canonical_labeling,
+)
 
 from conftest import random_uniform_hypergraph
 
@@ -78,3 +85,71 @@ class TestCanonicalForm:
         random.Random(9).shuffle(perm)
         assert are_isomorphic(A, permuted(A, perm))
         assert not are_isomorphic(A, complete_uniform(15, 3))
+
+
+def reference_search(H):
+    """The canonical search without the isolated-cell shortcut: every
+    member of the first non-singleton cell is branched on."""
+    n = H.n
+    edges = H.edge_tuples()
+    vertex_edges = [[] for _ in range(n)]
+    for j, row in enumerate(edges):
+        for v in row:
+            vertex_edges[v].append(j)
+    best = None
+
+    def descend(colors):
+        nonlocal best
+        colors = _refine(colors, vertex_edges, edges)
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            code = _encode(H, colors)
+            if best is None or code < best[0]:
+                best = (code, tuple(colors))
+            return
+        for v in target:
+            branched = [c * 2 for c in colors]
+            branched[v] -= 1
+            descend(branched)
+
+    descend([0] * n)
+    return best
+
+
+class TestIsolatedVertices:
+    def test_edgeless_is_fast(self):
+        start = time.perf_counter()
+        H = Hypergraph(12, 2, [])
+        assert canonical_form(H) == canonical_form(Hypergraph(12, 2, []))
+        assert canonical_labeling(H) == tuple(range(12))
+        assert time.perf_counter() - start < 2.0
+
+    def test_matches_unpruned_search(self):
+        # n <= 7 with 1..n isolated vertices, relabelled at random; the two
+        # fixed cases are cells with edges that must still branch on every
+        # member (branching on one there misses the least code)
+        cases = [
+            Hypergraph(7, 3, [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5),
+                              (0, 3, 5), (0, 4, 5), (1, 2, 3), (1, 2, 4),
+                              (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]),
+            Hypergraph(7, 3, [(0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3),
+                              (0, 2, 4), (0, 2, 5), (0, 3, 5), (0, 4, 5),
+                              (1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 3, 5),
+                              (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)]),
+        ]
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            k = rng.randint(2, 3)
+            pool = list(itertools.combinations(range(n - rng.randint(1, n)), k))
+            rng.shuffle(pool)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(permuted(Hypergraph(n, k, pool[:rng.randint(0, len(pool))]),
+                                  perm))
+        for H in cases:
+            assert H.isolated_vertices()
+            assert (canonical_form(H), canonical_labeling(H)) == reference_search(H)

@@ -122,6 +122,14 @@ class TestSolve:
                            stdin="nope", monkeypatch=monkeypatch)
         assert code == 1 and "error:" in err
 
+    def test_vertex_beyond_id_dtype_exit_1(self, capsys, monkeypatch):
+        # 70000 does not fit the int16 ids of n=100: a range error, no traceback
+        code, out, err = run(capsys, ["solve", "-", "--chi"],
+                             stdin='{"k":2,"n":100,"edges":[[0,70000]]}',
+                             monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert err == "error: vertex id 70000 out of range for n=100\n"
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, ["solve", "/does/not/exist", "--chi"])
         assert code == 1

@@ -1,9 +1,11 @@
+import hashlib
 import importlib.util
 import itertools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypercolor import (
@@ -71,6 +73,46 @@ class TestGridFamily:
         flags = verify_grid_invariants(H, 3, 8)
         assert flags == {"positions_distinct": True, "parts_distinct": True,
                          "cross_pairs_covered": True}
+
+    @pytest.mark.parametrize("k,r,digest", [(3, r, d) for r, d in [
+        (3, "685657cba263dadc8d537a94e34a185b61d992120f85ddfbd5f5d8b7cee17cfe"),
+        (4, "0e343ccffbc822d4ab7bc0259ab91fedcc4c730d05dd9bb765cc8155ad6033f7"),
+        (5, "bc63f7e448e10571755790ee0c759dff8296cf8a2e06765b3ba5ea40ca2c5bd0"),
+        (6, "50bdbaec4b128364c6327980f6d40f9d3e9dda5eca503d038532cd2a1c5064fa"),
+        (7, "ba3f3a2e88da75f7f3852af78daf71749a2d8f805f0a45ca6f0f21b0fe0e4b7c"),
+        (8, "9890aaf4b7f8da9da9974cdea2a552f191eb20693de6e8e1da123d1ad0ad28e8"),
+        (9, "9f47edca0466d8e8952e8eec87568b834b618cab32c4bc749db9fab7dcbca039"),
+        (10, "96870820bd6a7f368f035f2078fa202701ccca862b9c7d96536f7165182ee0ed"),
+    ]] + [
+        (4, 9, "e9e6bc47504d9e9cc170f1a3de7fcc7d0cbfc333e20e40fbcac5e91c34a22cd8"),
+        (5, 8, "aa7513bcf1406a4b1257f9c7f576606212d29f7ae012adf9ebb2c3c08ef59f03"),
+    ])
+    def test_edges_digest(self, k, r, digest):
+        # sha256 of the int16 edge array, recorded on the row-block generator
+        E = grid_transversal(k, r).edges
+        assert E.dtype == np.int16 and E.flags["C_CONTIGUOUS"]
+        assert hashlib.sha256(E.tobytes()).hexdigest() == digest
+
+    def test_invariants_detect_defects(self):
+        k, r = 3, 8
+        H = grid_transversal(k, r)
+        good = {tuple(e) for e in H.edge_tuples()}
+
+        def flags(edges):
+            return verify_grid_invariants(Hypergraph(k * r, k, sorted(edges)), k, r)
+
+        # two vertices at position 0: parts stay distinct
+        assert flags(good | {(0, r, 2 * r + 1)}) == {
+            "positions_distinct": False, "parts_distinct": True,
+            "cross_pairs_covered": False}
+        # two vertices of part 0: positions stay distinct
+        assert flags(good | {(0, 1, 2 * r + 3)}) == {
+            "positions_distinct": True, "parts_distinct": False,
+            "cross_pairs_covered": False}
+        # the cross pair (part 0 pos 0, part 1 pos 2) is left uncovered
+        assert flags({e for e in good if not {0, r + 2} <= set(e)}) == {
+            "positions_distinct": True, "parts_distinct": True,
+            "cross_pairs_covered": False}
 
     def test_part_coloring_complete(self):
         k, r = 3, 7

@@ -23,6 +23,7 @@ from hypercolor import (
     parse_hypergraph,
     serialize_hypergraph,
 )
+from hypercolor import complete_uniform, core, grid_transversal
 from hypercolor.core import subset_rank, subset_unrank
 
 from conftest import naive_is_complete, naive_is_proper, random_uniform_hypergraph
@@ -67,6 +68,19 @@ class TestHypergraphConstruction:
         with pytest.raises(VertexRangeError):
             Hypergraph(3, 2, [(-1, 2)])
 
+    @pytest.mark.parametrize("edges", [
+        np.array([[0, 65541]]),            # 65541 wraps to 5 in int16
+        np.array([[0, 2 ** 40]], dtype=np.int64),
+        np.array([[0, 70000]], dtype=np.uint32),
+        [[0, 70000]],
+        [(0, 2 ** 70)],                    # beyond int64
+        [[0, 1], [-70000, 2]],
+    ])
+    def test_id_beyond_id_dtype_is_a_range_error(self, edges):
+        # ids are checked before they are narrowed to the id dtype
+        with pytest.raises(VertexRangeError, match="out of range for n=100"):
+            Hypergraph(100, 2, edges)
+
     def test_empty_edge_set_allowed(self):
         H = Hypergraph(4, 2, [])
         assert H.m == 0 and H.edges.shape == (0, 2)
@@ -84,6 +98,70 @@ class TestHypergraphConstruction:
         H = Hypergraph(5, 2, [(0, 1), (0, 2)])
         assert list(H.degrees()) == [2, 1, 1, 0, 0]
         assert H.isolated_vertices() == [3, 4]
+
+
+# (n, k, edges) -> stored rows, or (error type, message), for lists and
+# arrays alike and with dedup off / on; recorded before the row checks
+# went column by column
+_CANONICALIZE_CASES = {
+    "unsorted": ((6, 3, [[5, 1, 3], [0, 4, 2], [2, 1, 0]]),
+                 [[0, 1, 2], [0, 2, 4], [1, 3, 5]], None),
+    "reversed": ((6, 3, [[3, 4, 5], [2, 3, 4], [1, 2, 3], [0, 1, 2]]),
+                 [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]], None),
+    "last_column": ((6, 3, [[0, 1, 3], [0, 1, 2]]),
+                    [[0, 1, 2], [0, 1, 3]], None),
+    "middle_column": ((6, 3, [[1, 2, 4], [0, 3, 4], [0, 2, 4]]),
+                      [[0, 2, 4], [0, 3, 4], [1, 2, 4]], None),
+    "duplicate_apart": ((6, 3, [[0, 2, 3], [0, 1, 3], [0, 2, 3]]),
+                        (SimplicityError, "duplicate edge [0, 2, 3]"),
+                        [[0, 1, 3], [0, 2, 3]]),
+    "duplicate": ((6, 3, [[0, 1, 2], [3, 4, 5], [2, 1, 0]]),
+                  (SimplicityError, "duplicate edge [0, 1, 2]"),
+                  [[0, 1, 2], [3, 4, 5]]),
+    "dup_sorted": ((6, 2, [[0, 1], [0, 1], [2, 3]]),
+                   (SimplicityError, "duplicate edge [0, 1]"), [[0, 1], [2, 3]]),
+    "reversed_dup": ((6, 2, [[4, 5], [2, 3], [4, 5], [0, 1]]),
+                     (SimplicityError, "duplicate edge [4, 5]"),
+                     [[0, 1], [2, 3], [4, 5]]),
+    "repeated": ((6, 3, [[0, 1, 2], [3, 3, 5]]),
+                 (UniformityError, "edge [3, 3, 5] repeats a vertex"), None),
+    "repeated_first": ((6, 3, [[4, 4, 5], [1, 1, 0]]),
+                       (UniformityError, "edge [4, 4, 5] repeats a vertex"), None),
+    "range": ((4, 2, [[0, 1], [3, 4]]),
+              (VertexRangeError, "vertex id 4 out of range for n=4"), None),
+    "negative": ((4, 2, [[0, 1], [-2, 3]]),
+                 (VertexRangeError, "vertex id -2 out of range for n=4"), None),
+}
+
+
+class TestCanonicalize:
+    @pytest.mark.parametrize("name", sorted(_CANONICALIZE_CASES))
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_pinned(self, name, as_array, dedup):
+        (n, k, edges), want, want_dedup = _CANONICALIZE_CASES[name]
+        if dedup and want_dedup is not None:
+            want = want_dedup
+        if as_array:
+            edges = np.array(edges)
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as exc:
+                Hypergraph(n, k, edges, dedup=dedup)
+            assert str(exc.value) == want[1]
+        else:
+            H = Hypergraph(n, k, edges, dedup=dedup)
+            assert H.edges.dtype == np.int16 and H.edges.tolist() == want
+
+    def test_wrong_arity_messages(self):
+        with pytest.raises(UniformityError) as exc:
+            Hypergraph(4, 3, [[0, 1, 2], [0, 1]])
+        assert str(exc.value) == "edge [0, 1] has 2 vertices, expected 3"
+        with pytest.raises(UniformityError) as exc:
+            Hypergraph(4, 3, [[0, 1], [2, 3]])
+        assert str(exc.value) == "edge [0, 1] has 2 vertices, expected 3"
+        with pytest.raises(UniformityError) as exc:
+            Hypergraph(4, 3, np.array([[0, 1], [2, 3]]))
+        assert str(exc.value) == "edge array must have shape (m, 3), got (2, 2)"
 
 
 class TestSubsetRanking:
@@ -126,16 +204,57 @@ class TestPredicates:
         assert not is_complete(empty, Coloring((0, 1, 2), 3))
 
     def test_matches_naive_on_random_instances(self, rng):
-        for _ in range(150):
-            n = rng.randint(3, 7)
-            k = rng.randint(2, min(3, n))
-            m = rng.randint(0, math.comb(n, k))
-            H = random_uniform_hypergraph(rng, n, k, m)
-            t = rng.randint(1, n)
-            colors = [rng.randrange(t) for _ in range(n)]
-            assert is_proper(H, colors) == naive_is_proper(H, colors)
-            got = is_complete(H, Coloring(tuple(colors), t))
-            assert got == naive_is_complete(H, colors, t)
+        # k = 2..10 on both sides of any small-k special case; the colorings
+        # are random (mostly improper), injective on the complete k-graph
+        # (complete), one color short of injective (improper), or leave the
+        # last class empty
+        for k in range(2, 11):
+            outcomes = set()
+            for _ in range(40):
+                n = rng.randint(k, k + 3)
+                style = rng.randrange(4)
+                if style < 2:
+                    H = complete_uniform(n, k)
+                    t = n - style
+                    colors = [v % t for v in rng.sample(range(n), n)]
+                else:
+                    m = rng.randint(0, min(math.comb(n, k), 40))
+                    H = random_uniform_hypergraph(rng, n, k, m)
+                    t = rng.randint(1, n)
+                    used = t - 1 if style == 3 and t > 1 else t
+                    colors = [rng.randrange(used) for _ in range(n)]
+                proper = is_proper(H, colors)
+                assert proper == naive_is_proper(H, colors)
+                got = is_complete(H, Coloring(tuple(colors), t))
+                assert got == naive_is_complete(H, colors, t)
+                outcomes.add((proper, got))
+            assert outcomes >= {(True, True), (False, False)}, k
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunk_boundaries(self, monkeypatch, rng, chunk):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", chunk)
+        H = grid_transversal(3, 6)
+        part = [v // 6 for v in range(18)]
+        assert is_complete(H, Coloring(tuple(part), 3))
+        assert is_proper(H, part)
+        # the last edge alone repeats a color / alone realizes {1, 2, 3}
+        clash = Hypergraph(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+                                  (4, 5, 6)])
+        colors = [0, 1, 2, 3, 0, 0, 1]
+        assert not is_proper(clash, colors)
+        assert not is_complete(clash, Coloring(tuple(colors), 4))
+        alone = Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4)])
+        assert is_complete(alone, Coloring((0, 1, 2, 3, 3), 4))
+        assert not is_complete(alone, Coloring((0, 1, 2, 3, 0), 4))
+        for _ in range(30):
+            k = rng.randint(2, 5)
+            n = rng.randint(k, k + 3)
+            G = complete_uniform(n, k)
+            t = rng.choice([n, n - 1])
+            colors = [v % t for v in rng.sample(range(n), n)]
+            assert is_proper(G, colors) == naive_is_proper(G, colors)
+            assert (is_complete(G, Coloring(tuple(colors), t))
+                    == naive_is_complete(G, colors, t))
 
     def test_coloring_class_sizes(self):
         c = Coloring((0, 1, 0, 2), 3)
@@ -188,6 +307,20 @@ class TestSerialization:
     def test_vertex_errors_pass_through(self):
         with pytest.raises(VertexRangeError):
             parse_hypergraph('{"n": 2, "k": 2, "edges": [[0, 5]]}')
+        with pytest.raises(VertexRangeError, match="vertex id 70000 out of range"):
+            parse_hypergraph('{"k": 2, "n": 100, "edges": [[0, 70000]]}')
+
+    @pytest.mark.parametrize("edges, message", [
+        ("[[0, 1], 5]", "edge 5 must be a list"),
+        ("[[0, 1], [1, true]]", "vertex id True must be an integer"),
+        ("[[0, 1.0]]", "vertex id 1.0 must be an integer"),
+        ("[[0, null], {}]", "vertex id None must be an integer"),
+        ('[{"a": 1}]', "edge {'a': 1} must be a list"),
+    ])
+    def test_type_errors_name_the_first_bad_item(self, edges, message):
+        with pytest.raises(DocumentError) as exc:
+            parse_hypergraph(f'{{"n": 3, "k": 2, "edges": {edges}}}')
+        assert str(exc.value) == message
 
 
 class TestSpectrumReport:
