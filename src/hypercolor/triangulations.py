@@ -39,13 +39,14 @@ class Embedding:
     constructors that build valid embeddings by local surgery skip it.
     """
 
-    __slots__ = ("rotation", "_faces", "_canon")
+    __slots__ = ("rotation", "_faces", "_canon", "_label")
 
     def __init__(self, rotation, *, validate: bool = True):
         rot = tuple(tuple(int(w) for w in nbrs) for nbrs in rotation)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_label", None)
         if validate:
             self.validate()
 
@@ -56,6 +57,7 @@ class Embedding:
         object.__setattr__(e, "rotation", rot)
         object.__setattr__(e, "_faces", None)
         object.__setattr__(e, "_canon", None)
+        object.__setattr__(e, "_label", None)
         return e
 
     def __setattr__(self, name, value):
@@ -107,7 +109,6 @@ class Embedding:
         """All face cycles; each directed dart is used exactly once."""
         if self._faces is not None:
             return self._faces
-        rot = self.rotation
         seen = set()
         out = []
         for a in range(self.n):
@@ -119,8 +120,7 @@ class Embedding:
                 while (u, v) not in seen:
                     seen.add((u, v))
                     cycle.append(u)
-                    nbrs = rot[v]
-                    u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+                    u, v = v, self._succ(v, u)
                 out.append(tuple(cycle))
         object.__setattr__(self, "_faces", out)
         return out
@@ -133,6 +133,11 @@ class Embedding:
         return [(u, v) for u in range(self.n)
                 for v in self.rotation[u] if u < v]
 
+    def _succ(self, a: int, b: int) -> int:
+        """The neighbor after b in a's rotation."""
+        r = self.rotation[a]
+        return r[(r.index(b) + 1) % len(r)]
+
     def flip(self, u: int, v: int) -> "Embedding":
         """Replace edge uv by the opposite diagonal of its two triangles.
 
@@ -142,11 +147,7 @@ class Embedding:
         rot = self.rotation
         if v not in rot[u]:
             raise EmbeddingError(f"{u}-{v} is not an edge")
-
-        def succ(a, b):   # the neighbor after b in a's rotation
-            r = rot[a]
-            return r[(r.index(b) + 1) % len(r)]
-
+        succ = self._succ
         x = succ(v, u)   # face (u, v, x)
         y = succ(u, v)   # face (v, u, y)
         if succ(x, v) != u or succ(y, u) != v:
@@ -183,7 +184,8 @@ class Embedding:
         bytes([n]) plus the least BFS code over the darts (u, v) of least
         (deg u, deg v), in both orientations.  A code row lists a vertex's
         neighbor labels around its rotation from its BFS parent, then 0xFF;
-        a start is dropped at its first row above the best code's.
+        a start is dropped at its first row above the best code's.  The best
+        start's labelling is kept: vertex v has code label ``_label[v]``.
         """
         if self._canon is not None:
             return self._canon
@@ -220,7 +222,8 @@ class Embedding:
                         tie = row == ref
                     code += row
                 else:
-                    best = code
+                    best, best_label = code, label
+        object.__setattr__(self, "_label", bytes(best_label))
         object.__setattr__(self, "_canon", bytes([n] + best))
         return self._canon
 
@@ -330,30 +333,38 @@ def stacked_triangulation(n: int) -> Embedding:
     return e
 
 
-_ENUM_MAX = 13
-
-
 def _bfs_closure(seeds) -> list[Embedding]:
     """All triangulation classes reachable from seeds by diagonal flips.
 
     The seen-set is keyed by canonical form, frontier layers are
     processed in canonical-form order, and the output is sorted by
-    canonical form, so enumeration is deterministic.  Every output is
-    fully re-validated.
+    canonical form, so enumeration is deterministic.  Flips reverse: if
+    edge uv of class A flips to class B with new diagonal xy, flipping xy
+    in B gives A.  Until B is processed, marked[B] has bit a*n+b (a < b)
+    set for such edges ab of B's representative, found from xy through
+    both canonical labellings; they get no flip and no form.  Only flips
+    into seen classes are skipped, so the output is that of flipping
+    every edge.  Every output is fully re-validated.
     """
     seen: dict[bytes, Embedding] = {}
+    marked: dict[bytes, int] = {}   # classes found, not yet processed
     frontier = []
     for e in seeds:
         key = e.canonical_form()
         if key not in seen:
             seen[key] = e
+            marked[key] = 0
             frontier.append(key)
     while frontier:
         frontier.sort()
         nxt = []
         for key in frontier:
             e = seen[key]
+            n = e.n
+            skip = marked.pop(key)
             for u, v in e.edges():
+                if skip >> (u * n + v) & 1:
+                    continue
                 try:
                     f = e.flip(u, v)
                 except UnflippableEdgeError:
@@ -361,7 +372,13 @@ def _bfs_closure(seeds) -> list[Embedding]:
                 ck = f.canonical_form()
                 if ck not in seen:
                     seen[ck] = f
+                    marked[ck] = 0
                     nxt.append(ck)
+                elif ck not in marked:
+                    continue
+                x, y = e._succ(v, u), e._succ(u, v)   # the new diagonal
+                a, b = sorted(seen[ck]._label.index(f._label[w]) for w in (x, y))
+                marked[ck] |= 1 << (a * n + b)
         frontier = nxt
     out = [seen[k] for k in sorted(seen)]
     for e in out:
@@ -382,26 +399,9 @@ def enumerate_triangulations(n: int) -> list[Embedding]:
     Flip-graph BFS from the stacked triangulation with canonical-form
     dedup.  Desk scale only: 4 <= n <= 13.
     """
-    if not 4 <= n <= _ENUM_MAX:
-        raise ValueError(f"n must be in 4..{_ENUM_MAX}, got {n}")
+    if not 4 <= n <= 13:
+        raise ValueError(f"n must be in 4..13, got {n}")
     return list(_enumerate_cached(n))
-
-
-def enumerate_by_insertion(n: int) -> list[Embedding]:
-    """Second generation method for cross-validation.
-
-    Seeds the flip closure with every vertex insertion into every face
-    of every (n-1)-class instead of the single stacked seed.  Agreement
-    with :func:`enumerate_triangulations` is the enumeration oracle at
-    n beyond brute-force scale.
-    """
-    if not 5 <= n <= _ENUM_MAX:
-        raise ValueError(f"n must be in 5..{_ENUM_MAX}, got {n}")
-    seeds = []
-    for e in enumerate_triangulations(n - 1):
-        for face in e.faces():
-            seeds.append(_insert_vertex(e, face))
-    return _bfs_closure(seeds)
 
 
 def find_gap_face_hypergraphs(n: int, *, budget: int | None = None):

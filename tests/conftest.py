@@ -1,4 +1,5 @@
-"""Shared helpers: naive reference predicates and random instance generators.
+"""Shared helpers: naive reference predicates, random instance generators,
+and a second triangulation generator.
 
 The naive predicates below are deliberately written from the definitions
 with itertools, independent of the array code under test, so the two
@@ -12,6 +13,11 @@ import random
 import pytest
 
 from hypercolor import Hypergraph
+from hypercolor.triangulations import (
+    _bfs_closure,
+    _insert_vertex,
+    enumerate_triangulations,
+)
 
 
 def naive_is_proper(H, colors):
@@ -53,6 +59,21 @@ def random_uniform_hypergraph(rng, n, k, m):
     pool = list(itertools.combinations(range(n), k))
     rng.shuffle(pool)
     return Hypergraph(n, k, pool[:min(m, len(pool))])
+
+
+def enumerate_by_insertion(n):
+    """Second generation method for cross-validation.
+
+    Seeds the flip closure with every vertex insertion into every face
+    of every (n-1)-class instead of the single stacked seed.  Agreement
+    with enumerate_triangulations is the enumeration oracle at n beyond
+    brute-force scale.
+    """
+    seeds = []
+    for e in enumerate_triangulations(n - 1):
+        for face in e.faces():
+            seeds.append(_insert_vertex(e, face))
+    return _bfs_closure(seeds)
 
 
 @pytest.fixture

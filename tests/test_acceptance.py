@@ -33,14 +33,13 @@ from hypercolor import (
 from hypercolor.constructions import verify_grid_invariants
 from hypercolor.gapsearch import certify_gap_instance, split_search, structural_filters
 from hypercolor.triangulations import (
-    enumerate_by_insertion,
     enumerate_triangulations,
     face_hypergraph,
     find_gap_face_hypergraphs,
     is_eulerian,
 )
 
-from conftest import random_uniform_hypergraph
+from conftest import enumerate_by_insertion, random_uniform_hypergraph
 
 DATA = Path(__file__).parent / "data"
 

@@ -10,6 +10,8 @@ import pytest
 from hypercolor import brute_force_spectrum, regular15
 from hypercolor.triangulations import enumerate_triangulations, find_gap_face_hypergraphs, face_hypergraph
 
+from conftest import enumerate_by_insertion
+
 
 @pytest.mark.slow
 def test_regular15_no_complete_4_by_full_enumeration():
@@ -28,7 +30,6 @@ def test_counterexample_gap_by_full_enumeration():
 @pytest.mark.slow
 def test_enumeration_count_at_thirteen():
     # largest allowed size; count confirmed by the generator pair
-    from hypercolor.triangulations import enumerate_by_insertion
     a = enumerate_triangulations(13)
     b = enumerate_by_insertion(13)
     assert len(a) == len(b) == 49566

@@ -11,8 +11,8 @@ from hypercolor.triangulations import (
     Embedding,
     EmbeddingError,
     UnflippableEdgeError,
+    _bfs_closure,
     embedding_index,
-    enumerate_by_insertion,
     enumerate_triangulations,
     face_hypergraph,
     find_gap_face_hypergraphs,
@@ -24,6 +24,8 @@ from hypercolor.triangulations import (
     tetrahedron,
     three_coloring,
 )
+
+from conftest import enumerate_by_insertion
 
 
 class TestEmbeddingBasics:
@@ -143,6 +145,7 @@ def reference_form(e):
 
 # sha256 of the concatenated canonical forms and of repr(rotations) of
 # enumerate_triangulations(n), recorded before the early-abort rewrite
+# (n = 9, 10) and before the flip BFS skipped reverse flips (n = 11, 12)
 ENUMERATION_DIGESTS = {
     9: (50,
         "7b207bc296305b2e887ea00b5413f9754306aaabcd74b84bea1d315e3066a070",
@@ -150,7 +153,40 @@ ENUMERATION_DIGESTS = {
     10: (233,
          "46d102f6c8c67589b540f10f9d276879090ed10e5b92078e51a5bbc02f02e4fc",
          "af724f76b97a6a88c34f8e0f36953cdbba3ac43edbdb5ec6f1ea86d48f994a8f"),
+    11: (1249,
+         "ef3d120a79853a9bf0bb5d0d7f300751858df5cf52f79ce4d6f7a6c000fc79b0",
+         "2a1f3256a7bf549e7888ee355b4c71caf0cd868f6054bc7388c34a5d0bf40438"),
+    12: (7595,
+         "471e774dbe1a376dc712067851d5c340bb97139565a3898bda68d9804a8787e2",
+         "63fa07eb77751da1997ce4bb06acb3ed9c111a13b8c656d0c4b1506b383943aa"),
 }
+
+# sha256 of repr(rotations) of enumerate_by_insertion(10), recorded
+# before the flip BFS skipped reverse flips
+INSERTION_ROTATIONS_10 = \
+    "c99afd86751b51f0fa87be3a7a1fce4c00b45d5104111c3112c0ef2d35ff58dd"
+
+
+def assert_label_isomorphism(copy, e):
+    """copy's stored labels, then e's inverse labels, map copy onto e:
+    darts go to darts and successors are kept up to one orientation."""
+    assert copy.canonical_form() == e.canonical_form()
+    inverse = {label: v for v, label in enumerate(e._label)}
+    phi = [inverse[label] for label in copy._label]
+    assert sorted(phi) == list(range(e.n))
+
+    def succ(rot, a, b, step=1):
+        r = rot[a]
+        return r[(r.index(b) + step) % len(r)]
+
+    forward = backward = True
+    for v, nbrs in enumerate(copy.rotation):
+        for w in nbrs:
+            assert phi[w] in e.rotation[phi[v]]
+            image = phi[succ(copy.rotation, v, w)]
+            forward &= image == succ(e.rotation, phi[v], phi[w])
+            backward &= image == succ(e.rotation, phi[v], phi[w], -1)
+    assert forward or backward
 
 
 class TestCanonicalForm:
@@ -163,6 +199,19 @@ class TestCanonicalForm:
         assert hashlib.sha256(joined).hexdigest() == forms
         text = repr([e.rotation for e in classes]).encode()
         assert hashlib.sha256(text).hexdigest() == rotations
+
+    def test_insertion_rotations_digest(self):
+        text = repr([e.rotation for e in enumerate_by_insertion(10)]).encode()
+        assert hashlib.sha256(text).hexdigest() == INSERTION_ROTATIONS_10
+
+    def test_labels_map_copies_onto_every_class(self):
+        rng = random.Random(13)
+        for n in range(4, 10):
+            for e in enumerate_triangulations(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for copy in (e.relabel(perm), e.relabel(perm).mirror()):
+                    assert_label_isomorphism(copy, e)
 
     def test_matches_reference_on_every_class(self):
         for n in range(4, 10):
@@ -178,6 +227,7 @@ class TestCanonicalForm:
         if data.draw(st.booleans()):
             r = r.mirror()
         assert r.canonical_form() == reference_form(r) == e.canonical_form()
+        assert_label_isomorphism(r, e)
 
     def test_invariance(self):
         rng = random.Random(11)
@@ -217,8 +267,24 @@ class TestEnumeration:
     def test_known_counts(self):
         # cross-checked by the insertion generator below and the n<=6
         # brute force above
-        got = [len(enumerate_triangulations(n)) for n in range(4, 10)]
-        assert got == [1, 1, 2, 5, 14, 50]
+        got = [len(enumerate_triangulations(n)) for n in range(4, 13)]
+        assert got == [1, 1, 2, 5, 14, 50, 233, 1249, 7595]
+
+    def test_closure_skips_reverse_flips(self, monkeypatch):
+        # forms computed (cache misses, as perfbench/tracing.py counts
+        # them): 3,579 when every flip gets a form; 3,027 if reverse
+        # diagonals are marked on the representative without relabelling
+        forms = 0
+        canonical_form = Embedding.canonical_form
+
+        def counted(e):
+            nonlocal forms
+            forms += e._canon is None
+            return canonical_form(e)
+
+        monkeypatch.setattr(Embedding, "canonical_form", counted)
+        assert len(_bfs_closure([stacked_triangulation(10)])) == 233
+        assert forms == 2195
 
     def test_generators_agree(self):
         for n in (8, 9):
