@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import (
@@ -144,15 +145,6 @@ def _cmd_solve(args) -> int:
 
 # ------------------------------------------------------------- search
 
-def _features_dict(f: gapsearch.StructuralFeatures) -> dict:
-    return {
-        "independence_number": f.independence_number,
-        "max_independent_sets": [list(s) for s in f.max_independent_sets],
-        "every_3set_extends": f.every_3set_extends,
-        "max_sets_cover_all": f.max_sets_cover_all,
-    }
-
-
 def _cmd_search_split(args) -> int:
     budget = _budget(args, 20_000)
     result = gapsearch.split_search(
@@ -168,7 +160,7 @@ def _cmd_search_split(args) -> int:
             "pattern": pattern.to_dict(),
             "hypergraph": hypergraph_to_dict(H),
             "report": report.to_dict(),
-            "features": _features_dict(gapsearch.structural_filters(H)),
+            "features": asdict(gapsearch.structural_filters(H)),
         })
     summary = {
         "base": args.base,

@@ -395,27 +395,30 @@ def independent_sets(H: Hypergraph, size: int) -> list[tuple[int, ...]]:
     """
     if size < 0 or size > H.n:
         raise ValueError(f"size must be in 0..{H.n}, got {size}")
-    if size == 0:
-        return [()]
-    conf = H.conflict_masks()
-    out: list[tuple[int, ...]] = []
+    return list(_iter_independent(H.conflict_masks(), size))
+
+
+def _iter_independent(conf: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Ascending `size`-subsets of range(len(conf)), lexicographically, no
+    two of whose members are set in each other's conflict mask."""
+    n = len(conf)
     chosen: list[int] = []
-    n = H.n
-
-    def extend(start: int, forbidden: int):
+    forbs = [0]          # forbs[i]: union of the masks of chosen[:i]
+    v = 0
+    while True:
         need = size - len(chosen)
-        for v in range(start, n - need + 1):
-            if (forbidden >> v) & 1:
-                continue
-            chosen.append(v)
-            if need == 1:
-                out.append(tuple(chosen))
-            else:
-                extend(v + 1, forbidden | conf[v])
-            chosen.pop()
-
-    extend(0, 0)
-    return out
+        if need == 0:
+            yield tuple(chosen)
+        elif v <= n - need:
+            if not (forbs[-1] >> v) & 1:
+                chosen.append(v)
+                forbs.append(forbs[-1] | conf[v])
+            v += 1
+            continue
+        if not chosen:
+            return
+        v = chosen.pop() + 1
+        forbs.pop()
 
 
 def covers_all(H: Hypergraph, vertices: Iterable[int]) -> bool:

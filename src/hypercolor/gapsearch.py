@@ -40,7 +40,7 @@ import numpy as np
 
 from . import canon
 from .constructions import SplitPattern, lift_layout
-from .core import Hypergraph, covers_all, independent_sets
+from .core import Hypergraph, _iter_independent, covers_all, independent_sets
 from .solver import (
     EnumerationCapExceeded,
     _proper_search,
@@ -55,6 +55,10 @@ _MAX_BASE = 8
 # stays this small; beyond it the lifted hypergraph's canonical form
 # serves as the orbit key instead
 _FAST_GROUP_CELLS = 1_000_000
+
+_RESTART_QUOTA = 200        # candidates per randomized restart
+_SCREEN_BUDGET = 200_000    # node budget of each screening search
+_TABU_HORIZON = 1000        # canonical forms remembered per restart
 
 
 @dataclass(frozen=True)
@@ -130,25 +134,6 @@ def structural_filters(H: Hypergraph) -> StructuralFeatures:
         every_3set_extends=extends,
         max_sets_cover_all=cover,
     )
-
-
-def _has_independent_set(conf, size: int) -> bool:
-    """Whether some `size` vertices are pairwise free of the conflict masks."""
-    n = len(conf)
-    if size <= 0:
-        return True
-    if size > n:
-        return False
-
-    def rec(start: int, need: int, forb: int) -> bool:
-        if need == 0:
-            return True
-        for v in range(start, n - need + 1):
-            if not (forb >> v) & 1 and rec(v + 1, need - 1, forb | conf[v]):
-                return True
-        return False
-
-    return rec(0, size, 0)
 
 
 class _LiftSpace:
@@ -287,32 +272,19 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
                 class_of[v] = ci
             pos += take
         bits = 0
-        dead = False
-        for j in range(len(space.base_edges)):
-            slots = space.edge_slots[j]
-            fixed, var_base = space.rows[j]
-            fixed_cls = [class_of[v] for v in fixed]
-            allowed = []
-            for combo in range(1 << len(slots)):
-                cls = list(fixed_cls)
-                for s_i in range(len(slots)):
-                    cls.append(class_of[var_base[s_i] + ((combo >> s_i) & 1)])
-                if len(set(cls)) == len(cls):
-                    allowed.append(combo)
+        for first, _width, lifts in space.lift_table:
+            allowed = [c for c, lift in enumerate(lifts)
+                       if len({class_of[v] for v, _ in lift}) == space.k]
             if not allowed:
-                dead = True
                 break
-            combo = allowed[rng.randrange(len(allowed))]
-            for s_i, slot in enumerate(slots):
-                if (combo >> s_i) & 1:
-                    bits |= 1 << slot
-        if not dead:
+            bits |= allowed[rng.randrange(len(allowed))] << first
+        else:
             return bits
     return rng.getrandbits(space.B) if space.B else 0
 
 
 def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
-              screen_budget: int, stats: dict, H: Hypergraph | None = None):
+              stats: dict, H: Hypergraph | None = None):
     """Run the staged pipeline on one pattern.
 
     The independent-set and proper-coloring screens read conflict masks
@@ -325,12 +297,12 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
     tmin = min(target.require) if target.require else space.k
     need = -(-space.n // tmin)
     masks, deg = space.screen_data(bits)
-    if not _has_independent_set(masks, need):
+    if next(_iter_independent(masks, need), None) is None:
         stats["screen_fail"] += 1
         return score, None, H
     score += 1
     status, _colors, _nodes = _proper_search(
-        space.n, len(space.rows), space.k, masks, deg, tmin, screen_budget, 0)
+        space.n, len(space.rows), space.k, masks, deg, tmin, _SCREEN_BUDGET, 0)
     if status != "found":
         stats["chi_fail"] += 1
         return score, None, H
@@ -338,12 +310,12 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
     if H is None:
         H = space.build(bits)
     for t in sorted(target.forbid):
-        if exists_complete(H, t, budget=screen_budget).status != "none":
+        if exists_complete(H, t, budget=_SCREEN_BUDGET).status != "none":
             stats[f"forbid_fail_{t}"] += 1
             return score, None, H
         score += 1
     for t in sorted(target.require, reverse=True):
-        if exists_complete(H, t, budget=screen_budget).status != "found":
+        if exists_complete(H, t, budget=_SCREEN_BUDGET).status != "found":
             stats[f"require_fail_{t}"] += 1
             return score, None, H
         score += 1
@@ -354,11 +326,10 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
     return score + 1, report, H
 
 
-def _validate_hit(H: Hypergraph, report, target: SpectrumTarget, *,
-                  oracle_cap: int = 100_000_000) -> bool:
+def _validate_hit(H: Hypergraph, report, target: SpectrumTarget) -> bool:
     """Independent re-check of an emitted hit; never trust the search path."""
     try:
-        feas = brute_force_spectrum(H, cap=oracle_cap)
+        feas = brute_force_spectrum(H)
         return feas == set(report.feasible)
     except EnumerationCapExceeded:
         for t in sorted(target.forbid):
@@ -376,8 +347,7 @@ def _new_stats() -> dict:
 
 
 def _run_restart(args):
-    (base_m, split, k, require, forbid, seed, restart_idx, quota,
-     screen_budget, structured, tabu_horizon) = args
+    base_m, split, k, require, forbid, seed, restart_idx, quota = args
     space = _space(base_m, split, k)
     target = SpectrumTarget(frozenset(require), frozenset(forbid))
     rng = random.Random(f"{seed}:{restart_idx}")
@@ -394,11 +364,7 @@ def _run_restart(args):
     classes = min(require) if require else k
 
     def propose_fresh() -> int:
-        if structured is None:
-            use = rng.random() < 0.7  # mixed proposals by default
-        else:
-            use = structured
-        if use:
+        if rng.random() < 0.7:
             return _structured_bits(space, rng, classes)
         return rng.getrandbits(space.B) if space.B else 0
 
@@ -421,11 +387,11 @@ def _run_restart(args):
                 stalled += 1
             continue
         tabu[cand_key] = None
-        while len(tabu) > tabu_horizon:
+        while len(tabu) > _TABU_HORIZON:
             tabu.popitem(last=False)
         spent += 1
         cand_score, cand_report, cand_H = _evaluate(
-            space, cand, target, screen_budget, stats, cand_H)
+            space, cand, target, stats, cand_H)
         if cand_report is not None:
             note_hit(cand, cand_H, cand_report)
         if fresh or cand_score >= score:
@@ -436,20 +402,18 @@ def _run_restart(args):
     return hits, dict(stats)
 
 
-def split_search(base_m: int, split, target: SpectrumTarget | None = None, *,
-                 require=(), forbid=(), k: int = 3,
-                 budget: int = 20_000, seed: int = 0, workers: int = 1,
-                 restart_quota: int = 200, screen_budget: int = 200_000,
-                 structured: bool | None = None,
-                 tabu_horizon: int = 1000) -> "SearchResult":
+def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
+                 budget: int = 20_000, seed: int = 0,
+                 workers: int = 1) -> "SearchResult":
     """Find split patterns whose lifted hypergraph matches the target.
 
     budget counts candidate evaluations.  When 2**slots <= budget the
     whole space is scanned once (canonical orbit representatives only);
-    otherwise randomized restarts of `restart_quota` candidates each run
-    until the budget is spent.  Hits are deduplicated by hypergraph
-    canonical form, re-validated independently, and returned sorted by
-    canonical form, so the outcome is a function of (seed, budget) alone.
+    otherwise randomized restarts of `_RESTART_QUOTA` candidates each run
+    until the budget is spent, in a pool of `workers` processes if above 1.
+    Hits are deduplicated by hypergraph canonical form, re-validated
+    independently, and returned sorted by canonical form, so the outcome
+    is a function of (seed, budget) alone.
     """
     if base_m > _MAX_BASE:
         raise ValueError(f"base_m capped at {_MAX_BASE}, got {base_m}")
@@ -460,8 +424,9 @@ def split_search(base_m: int, split, target: SpectrumTarget | None = None, *,
         raise ValueError("split vertices must be distinct")
     if split and not (0 <= split[0] and split[-1] < base_m):
         raise ValueError(f"split vertices must lie in 0..{base_m - 1}")
-    if target is None:
-        target = SpectrumTarget(frozenset(require), frozenset(forbid))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    target = SpectrumTarget(frozenset(require), frozenset(forbid))
     space = _space(base_m, split, k)
     stats = _new_stats()
     hits: dict[bytes, tuple[int, object]] = {}
@@ -472,8 +437,7 @@ def split_search(base_m: int, split, target: SpectrumTarget | None = None, *,
             if space.fast_canon and space.canonical_bits(bits) != bits:
                 stats["orbit_skips"] += 1
                 continue
-            _score, report, H = _evaluate(space, bits, target, screen_budget,
-                                          stats)
+            _score, report, H = _evaluate(space, bits, target, stats)
             if report is not None:
                 key = canon.canonical_form(H)
                 if key not in hits:
@@ -484,13 +448,12 @@ def split_search(base_m: int, split, target: SpectrumTarget | None = None, *,
         remaining = budget
         idx = 0
         while remaining > 0:
-            q = min(restart_quota, remaining)
+            q = min(_RESTART_QUOTA, remaining)
             quotas.append((idx, q))
             remaining -= q
             idx += 1
         job = [(base_m, split, k, tuple(sorted(target.require)),
-                tuple(sorted(target.forbid)), seed, ridx, q,
-                screen_budget, structured, tabu_horizon)
+                tuple(sorted(target.forbid)), seed, ridx, q)
                for ridx, q in quotas]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -522,8 +485,7 @@ class SearchResult:
     stats: dict
 
 
-def certify_gap_instance(H: Hypergraph, require, forbid, *,
-                         oracle_cap: int = 100_000_000) -> dict:
+def certify_gap_instance(H: Hypergraph, require, forbid) -> dict:
     """Full from-scratch certification of a claimed gap instance.
 
     Computes the unlimited-budget spectrum, the structural features, an
@@ -536,8 +498,7 @@ def certify_gap_instance(H: Hypergraph, require, forbid, *,
     features = structural_filters(H)
     verdict = {
         "target_matched": target.matches(report),
-        "oracle_confirmed": _validate_hit(H, report, target,
-                                          oracle_cap=oracle_cap),
+        "oracle_confirmed": _validate_hit(H, report, target),
         "counting_bound": (report.psi == 0
                            or math.comb(report.psi, H.k) <= H.m),
     }

@@ -389,8 +389,7 @@ def achromatic_number(H: Hypergraph, *,
 
 
 def spectrum(H: Hypergraph, *,
-             budget: int | None = None, seed: int = 0,
-             cover_prune: bool = True) -> SpectrumReport:
+             budget: int | None = None, seed: int = 0) -> SpectrumReport:
     """Full feasibility map over t = k .. psi_upper_bound.
 
     Every search gets the node budget: the chromatic number's, then one
@@ -415,8 +414,7 @@ def spectrum(H: Hypergraph, *,
     unknown = []
     witnesses = {}
     for t in range(max(H.k, lo), psi_upper_bound(H) + 1):
-        res = exists_complete(H, t, budget=budget, seed=seed,
-                              cover_prune=cover_prune)
+        res = exists_complete(H, t, budget=budget, seed=seed)
         if res.status == "found":
             if res.witness is None or not is_complete(H, res.witness):
                 raise InvalidWitnessError(
@@ -438,10 +436,11 @@ def spectrum(H: Hypergraph, *,
 
 # -- brute-force oracle ------------------------------------------------
 
+_BRUTE_CHUNK = 1_000_000   # assignments decoded per numpy pass
+
 
 def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
-                         cap: int = 100_000_000,
-                         chunk: int = 1_000_000) -> set[int]:
+                         cap: int = 100_000_000) -> set[int]:
     """Feasible t values by enumerating every assignment, for cross-checks.
 
     Scans all t**n color assignments for each t from k to t_max (default:
@@ -474,8 +473,8 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
         offsets = np.arange(k)
         found = False
         powers = np.array([t ** j for j in range(n)], dtype=np.int64)
-        for lo in range(0, t ** n, chunk):
-            hi = min(lo + chunk, t ** n)
+        for lo in range(0, t ** n, _BRUTE_CHUNK):
+            hi = min(lo + _BRUTE_CHUNK, t ** n)
             idx = np.arange(lo, hi, dtype=np.int64)
             A = ((idx[:, None] // powers[None, :]) % t).astype(np.int8)
             keep = np.ones(len(idx), dtype=bool)

@@ -35,20 +35,19 @@ class Embedding:
     """Immutable rotation system on vertices 0..n-1.
 
     rotation[v] lists v's neighbors in cyclic order.  Validation checks
-    symmetry, simplicity, connectivity, and genus 0; internal
-    constructors that build valid embeddings by local surgery skip it.
+    symmetry, simplicity, connectivity, and genus 0; internal constructors
+    that build valid embeddings by local surgery skip it via ``_trusted``.
     """
 
     __slots__ = ("rotation", "_faces", "_canon", "_label")
 
-    def __init__(self, rotation, *, validate: bool = True):
+    def __init__(self, rotation):
         rot = tuple(tuple(int(w) for w in nbrs) for nbrs in rotation)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_label", None)
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _trusted(cls, rot: tuple[tuple[int, ...], ...]) -> "Embedding":
@@ -170,13 +169,12 @@ class Embedding:
         """Apply a vertex permutation (perm[v] = new id of v)."""
         new = [()] * self.n
         for v, nbrs in enumerate(self.rotation):
-            new[perm[v]] = tuple(perm[w] for w in nbrs)
-        return Embedding(new, validate=False)
+            new[perm[v]] = tuple(int(perm[w]) for w in nbrs)
+        return Embedding._trusted(tuple(new))
 
     def mirror(self) -> "Embedding":
         """Reverse all rotations (orientation flip)."""
-        return Embedding(tuple(tuple(reversed(r)) for r in self.rotation),
-                         validate=False)
+        return Embedding._trusted(tuple(r[::-1] for r in self.rotation))
 
     def canonical_form(self) -> bytes:
         """Byte string invariant under relabeling, re-rooting, and reflection.
@@ -301,14 +299,12 @@ def three_coloring(e: Embedding) -> Coloring:
 
 
 def tetrahedron() -> Embedding:
-    return Embedding(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)),
-                     validate=False)
+    return Embedding._trusted(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
 
 
 def octahedron() -> Embedding:
-    return Embedding(((1, 2, 3, 4), (0, 4, 5, 2), (0, 1, 5, 3),
-                      (0, 2, 5, 4), (0, 3, 5, 1), (1, 4, 3, 2)),
-                     validate=False)
+    return Embedding._trusted(((1, 2, 3, 4), (0, 4, 5, 2), (0, 1, 5, 3),
+                               (0, 2, 5, 4), (0, 3, 5, 1), (1, 4, 3, 2)))
 
 
 def _insert_vertex(e: Embedding, face: tuple[int, int, int]) -> Embedding:
@@ -320,7 +316,7 @@ def _insert_vertex(e: Embedding, face: tuple[int, int, int]) -> Embedding:
     new[q].insert(new[q].index(p) + 1, a)
     new[r].insert(new[r].index(q) + 1, a)
     new.append([p, r, q])
-    return Embedding(new, validate=False)
+    return Embedding._trusted(tuple(map(tuple, new)))
 
 
 def stacked_triangulation(n: int) -> Embedding:

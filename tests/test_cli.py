@@ -167,6 +167,16 @@ class TestSearch:
         _, b, _ = run(capsys, argv)
         assert a == b
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, capsys, workers):
+        code, out, err = run(capsys, ["search", "split", "--base", "5",
+                                      "--split", "0,1,2,3", "--require", "3,5",
+                                      "--forbid", "4", "--budget", "50",
+                                      "--workers", workers])
+        assert code == 1
+        assert out == ""
+        assert "workers" in err
+
     def test_out_directory(self, capsys, tmp_path):
         dest = tmp_path / "hits"
         code, out, _ = run(capsys, ["search", "split", "--base", "4",

@@ -264,14 +264,19 @@ class TestPredicates:
 
 class TestIndependentSetsAndCover:
     def test_against_itertools(self, rng):
-        for _ in range(40):
-            n = rng.randint(2, 7)
-            H = random_uniform_hypergraph(rng, n, 2, rng.randint(0, n))
-            for size in range(1, n + 1):
-                expect = [s for s in itertools.combinations(range(n), size)
-                          if not any(set(e) <= set(s)
-                                     for e in H.edge_tuples())]
-                assert independent_sets(H, size) == expect
+        # no two members in one edge, every size 0..n, in the lexicographic
+        # order of itertools.combinations
+        for k in (2, 3):
+            for _ in range(40):
+                n = rng.randint(k, 9)
+                H = random_uniform_hypergraph(rng, n, k, rng.randint(0, 2 * n))
+                edges = [set(e) for e in H.edge_tuples()]
+                for size in range(n + 1):
+                    expect = [s for s in itertools.combinations(range(n), size)
+                              if all(len(e.intersection(s)) < 2 for e in edges)]
+                    assert independent_sets(H, size) == expect
+        with pytest.raises(ValueError):
+            independent_sets(H, n + 1)
 
     def test_covers_all(self):
         assert covers_all(TRIANGLE, [0, 1])

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -11,6 +12,7 @@ from hypercolor import (
     brute_force_spectrum,
     complete_uniform,
     exists_proper,
+    independent_sets,
     parse_hypergraph,
     regular15,
     spectrum,
@@ -19,7 +21,9 @@ from hypercolor import (
 from hypercolor.canon import canonical_form
 from hypercolor.gapsearch import (
     SpectrumTarget,
+    _evaluate,
     _space,
+    _structured_bits,
     certify_gap_instance,
     split_search,
     structural_filters,
@@ -143,6 +147,21 @@ class TestSplitSearch:
         with pytest.raises(ValueError):
             split_search(5, (7,), require={3})
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            split_search(5, range(4), require={3, 5}, forbid={4}, budget=50,
+                         workers=workers)
+
+    @pytest.mark.parametrize("kw", [
+        dict(target=SpectrumTarget(frozenset({3, 5}), frozenset({4}))),
+        dict(restart_quota=200), dict(screen_budget=200_000),
+        dict(structured=None), dict(tabu_horizon=1000)])
+    def test_removed_keywords_raise(self, kw):
+        with pytest.raises(TypeError):
+            split_search(5, range(4), require={3, 5}, forbid={4}, budget=50,
+                         **kw)
+
 
 _SPACES = [
     (4, (0, 1), None),                # every pattern, 2**6
@@ -242,6 +261,46 @@ class TestLiftSpace:
         assert builds == lifts + st["hits"]
 
 
+# sha256 of _structured_bits for seeds 0..299 (one fresh Random(seed)
+# each), per (base_m, split, classes); recorded before it read lift_table
+_STRUCTURED_DIGESTS = {
+    (5, (0, 1, 2, 3), 3):
+        "d1f26fbcdbdad603a1293a9bba6bd98fae0dc4b374bb127e31e34383b381907e",
+    (6, (0, 1, 2, 3, 4, 5), 3):
+        "d3e697656e536a368ef4373406319aa2365433a92742733d36295c2d6df996e5",
+    (6, (0, 1, 2, 3, 4, 5), 4):
+        "0cfc79111310192a695978a5187fc4f50f07da74f1c6c41d37cd32062db36649",
+}
+
+
+class TestScreens:
+    @pytest.mark.parametrize("base_m, split, classes", _STRUCTURED_DIGESTS)
+    def test_structured_bits_digest(self, base_m, split, classes):
+        space = _space(base_m, split, 3)
+        bits = [_structured_bits(space, random.Random(seed), classes)
+                for seed in range(300)]
+        digest = hashlib.sha256(",".join(map(str, bits)).encode()).hexdigest()
+        assert digest == _STRUCTURED_DIGESTS[(base_m, split, classes)]
+
+    @pytest.mark.parametrize("base_m, split, require", [
+        (5, (0, 1, 2, 3), {3, 5}), (6, (0, 1, 2, 3, 4, 5), {3, 6})])
+    def test_screen_fails_exactly_without_independent_set(self, base_m,
+                                                          split, require):
+        space = _space(base_m, split, 3)
+        target = SpectrumTarget(frozenset(require), frozenset())
+        need = -(-space.n // min(require))
+        rng = random.Random(base_m)
+        fails = 0
+        for _ in range(60):
+            bits = rng.getrandbits(space.B)
+            stats = collections.defaultdict(int)
+            _evaluate(space, bits, target, stats)
+            want = not independent_sets(space.build(bits), need)
+            assert stats["screen_fail"] == want
+            fails += want
+        assert 0 < fails < 60
+
+
 class TestCertifyGapInstance:
     def test_order9_fixture(self):
         H = parse_hypergraph((DATA / "order9.json").read_text())
@@ -267,3 +326,8 @@ class TestCertifyGapInstance:
         v = certify_gap_instance(regular15(), {3, 6}, {4})
         assert not v["ok"]
         assert not v["target_matched"]
+
+    def test_oracle_cap_keyword_removed(self):
+        H = parse_hypergraph((DATA / "order9.json").read_text())
+        with pytest.raises(TypeError):
+            certify_gap_instance(H, {3, 5}, {4}, oracle_cap=100_000_000)

@@ -377,3 +377,20 @@ class TestBruteForce:
         H = complete_uniform(5, 3)
         assert brute_force_spectrum(H, 4) == set()
         assert brute_force_spectrum(H) == {5}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # 3**5 and 4**5 assignments split across passes of the scan
+        H = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        want = brute_force_spectrum(H)
+        monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
+        assert brute_force_spectrum(H) == want == {3}
+
+
+@pytest.mark.parametrize("call", [
+    lambda H: spectrum(H, cover_prune=True),
+    lambda H: brute_force_spectrum(H, chunk=1_000_000),
+], ids=["spectrum cover_prune", "brute_force_spectrum chunk"])
+def test_removed_keywords_raise(call):
+    with pytest.raises(TypeError):
+        call(complete_uniform(5, 3))

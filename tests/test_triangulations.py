@@ -59,6 +59,19 @@ class TestEmbeddingBasics:
         with pytest.raises(EmbeddingError):
             Embedding(((1,), (0,), (3,), (2,)))
 
+    def test_validate_keyword_removed(self):
+        with pytest.raises(TypeError):
+            Embedding(((1,), (0,), (0,)), validate=False)
+
+    def test_trusted_constructions_are_valid(self):
+        # each construction that skips validation gives int tuples that
+        # the validating constructor accepts unchanged
+        e = stacked_triangulation(8)
+        perm = [3, 0, 7, 1, 6, 2, 5, 4]
+        for f in (tetrahedron(), octahedron(), e, e.relabel(perm), e.mirror()):
+            assert Embedding(f.rotation).rotation == f.rotation
+            assert all(type(w) is int for r in f.rotation for w in r)
+
     def test_euler_relation_everywhere(self):
         for e in enumerate_triangulations(7):
             assert len(e.faces()) - e.m + e.n == 2
