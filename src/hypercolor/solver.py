@@ -9,12 +9,28 @@ prunes branches whose remaining open edges cannot cover the missing
 subsets, or whose newest color class meets every edge while a subset
 without that color is still missing.
 
-Each assignment costs constant work per incident edge: every edge keeps
-a bitmask of its colors, a table built with the subset list maps a full
-mask to the subset's rank, each node keeps the ranks of the edges it
-closed so undo never recomputes them, and a per-color counter of the
-edges meeting the class (properness puts at most one vertex of a class
-on an edge) replaces a scan of all edges.
+With ``cover_prune`` (the default) it also prunes by Hall's condition:
+every missing subset needs its own open edge whose colors it contains,
+so a node survives only if a matching takes the missing subsets to
+distinct such edges.  ``_Matching`` carries one from node to node.
+Open edges with the same color mask are interchangeable, so a subset is
+matched to a mask, and a mask holds at most as many subsets as it has
+open edges.  An assignment moves the vertex's edges to larger masks; a
+mask left with more subsets than edges passes one on along an
+alternating path, found by a breadth-first search over masks on bitsets
+of subsets, and a failed search exhibits the Hall violation.  Each
+assignment copies the matching first (two dicts with one entry per mask
+of fewer than k colors, and one list entry per subset), so backtracking
+restores the parent's matching exactly.  The prune cuts only subtrees
+without a complete leaf and the visiting order is unchanged, so answers
+and witnesses do not depend on ``cover_prune``, and it never adds nodes.
+
+Apart from that repair, each assignment costs constant work per incident
+edge: every edge keeps a bitmask of its colors, a table built with the
+subset list maps a full mask to the subset's rank, each node keeps the
+ranks of the edges it closed so undo never recomputes them, and a
+per-color counter of the edges meeting the class (properness puts at
+most one vertex of a class on an edge) replaces a scan of all edges.
 
 Budgets are counted in nodes, one node per tentative vertex assignment,
 so a run is reproducible across machines.  The seed only permutes
@@ -206,6 +222,186 @@ def exists_proper(H: Hypergraph, t: int, *,
     return SolveResult(status, witness, nodes)
 
 
+@lru_cache(maxsize=8)
+def _subset_tables(t: int, k: int):
+    """Tables over the k-subsets of colors {0..t-1}, which have colex ranks.
+
+    Returns (rank_of, without, subs, sup): the rank of each subset's color
+    mask; for each color, the bitset of ranks of the subsets without it;
+    for each rank, the proper submasks of its subset, which are the
+    masks an open edge can carry and still realize it; and for each such
+    mask, the bitset of ranks of the subsets that strictly contain it.
+    A function of (t, k) alone, so repeated searches build it once.
+    """
+    total = math.comb(t, k)
+    rank_of = {}
+    without = [(1 << total) - 1] * t
+    for sub in combinations(range(t), k):
+        r = subset_rank(sub)
+        rank_of[sum(1 << c for c in sub)] = r
+        for c in sub:
+            without[c] &= ~(1 << r)
+    subs = [()] * total
+    sup = {}
+    for mask, r in rank_of.items():
+        acc = []
+        s = mask
+        while s:
+            s = (s - 1) & mask
+            acc.append(s)
+            sup[s] = sup.get(s, 0) | 1 << r
+        subs[r] = tuple(acc)
+    return rank_of, tuple(without), tuple(subs), sup
+
+
+class _Matching:
+    """The Hall bound's matching, repaired after each assignment.
+
+    where[r] is the mask subset r sits on (-1 once covered),
+    members[mask] the bitset of subsets on it and spare[mask] its open
+    edges minus its subsets.  The dicts are keyed by the masks an open
+    edge can carry (fewer than k colors), so nothing is sized 2**t.
+    ``assign`` returns False when Hall's condition fails; either way
+    ``undo`` then restores the state from before it.
+    """
+
+    __slots__ = ("emask", "rem", "subs", "sup", "where", "spare",
+                 "members", "saved")
+
+    def __init__(self, m, total, emask, rem, subs, sup):
+        self.emask = emask
+        self.rem = rem
+        self.subs = subs
+        self.sup = sup
+        # at the root every edge is blank, and the counting bound gave
+        # m >= C(t, k)
+        self.where = [0] * total
+        self.spare = dict.fromkeys(sup, 0)
+        self.spare[0] = m - total
+        self.members = dict.fromkeys(sup, 0)
+        self.members[0] = (1 << total) - 1
+        self.saved = []
+
+    def assign(self, ev, c, closed) -> bool:
+        """v's edges ev just took color c; closed lists the ranks they
+        realized.  False when Hall's condition fails."""
+        emask, rem = self.emask, self.rem
+        where, spare, members = self.where, self.spare, self.members
+        self.saved.append((where, spare, members))
+        self.where = where = where[:]
+        self.spare = spare = spare.copy()
+        self.members = members = members.copy()
+        for r in closed:  # a newly covered subset gives its place back
+            mask = where[r]
+            if mask >= 0:
+                where[r] = -1
+                members[mask] ^= 1 << r
+                spare[mask] += 1
+        bit = 1 << c
+        short = []  # masks that lost an edge they had no spare for
+        for j in ev:
+            new = emask[j]
+            if rem[j]:
+                spare[new] += 1
+            old = new ^ bit
+            if spare[old]:
+                spare[old] -= 1
+            else:
+                short.append(old)
+        if not short:
+            return True
+        sup = self.sup
+        roomy = [mask for mask, extra in spare.items() if extra > 0]
+        room = 0  # subsets that fit a mask in roomy
+        for mask in roomy:
+            room |= sup[mask]
+        for old in short:
+            mem = members[old]
+            fit = mem & room
+            if fit:  # one of them moves to a mask with room
+                b = fit & -fit
+                r = b.bit_length() - 1
+                for dest in self.subs[r]:
+                    if spare[dest] > 0:
+                        break
+                where[r] = dest
+                members[old] = mem ^ b
+                members[dest] |= b
+                spare[dest] -= 1
+                if spare[dest]:
+                    continue
+                roomy.remove(dest)
+            else:
+                b = mem & -mem
+                members[old] = mem ^ b
+                if not self._augment(b.bit_length() - 1, roomy):
+                    return False
+            room = 0
+            for mask in roomy:
+                room |= sup[mask]
+        return True
+
+    def _augment(self, root, roomy) -> bool:
+        """Put subset root, which fits no mask in roomy, on a mask.
+
+        A breadth-first search over masks on bitsets of subsets: a mask
+        is reached when a frontier subset contains it, and its members
+        form the next frontier.  The path ends at a mask in roomy, the
+        masks with edges to spare; the subsets on it shift one mask
+        along.  When the search fails, the subsets reached need more
+        edges than the masks reached hold.
+        """
+        where, spare, members = self.where, self.spare, self.members
+        subs, sup = self.subs, self.sup
+        taker = dict.fromkeys(subs[root], root)  # mask -> its next user
+        front = 0
+        for mask in subs[root]:
+            front |= members[mask]
+        todo = None  # masks not reached yet, once needed
+        while True:
+            for dest in roomy:
+                hit = front & sup[dest]
+                if hit:
+                    break
+            else:  # nothing on the frontier fits a mask with room
+                if todo is None:
+                    todo = [mask for mask, mem in members.items()
+                            if mem and mask not in taker]
+                nxt = 0
+                rest = []
+                for mask in todo:
+                    x = front & sup[mask]
+                    if x:
+                        taker[mask] = (x & -x).bit_length() - 1
+                        nxt |= members[mask]
+                    else:
+                        rest.append(mask)
+                if not nxt:
+                    return False
+                front = nxt
+                todo = rest
+                continue
+            break
+        spare[dest] -= 1
+        if not spare[dest]:
+            roomy.remove(dest)
+        r = (hit & -hit).bit_length() - 1
+        while r != root:  # each subset on the path moves one mask along
+            old = where[r]
+            where[r] = dest
+            members[old] ^= 1 << r
+            members[dest] |= 1 << r
+            dest = old
+            r = taker[old]
+        where[root] = dest
+        members[dest] |= 1 << root
+        return True
+
+    def undo(self):
+        """Restore the matching from before the last ``assign``."""
+        self.where, self.spare, self.members = self.saved.pop()
+
+
 def exists_complete(H: Hypergraph, t: int, *,
                     budget: int | None = None, seed: int = 0,
                     cover_prune: bool = True) -> SolveResult:
@@ -214,6 +410,8 @@ def exists_complete(H: Hypergraph, t: int, *,
     Quick refutations before any search: an edgeless hypergraph (by
     convention), t < k (properness), t > n (an empty class), and
     C(t, k) > m (more color k-subsets than edges to realize them).
+    cover_prune switches the dominating-class prune and the Hall bound
+    (:class:`_Matching`); answers never depend on it, node counts do.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -238,15 +436,8 @@ def exists_complete(H: Hypergraph, t: int, *,
         for v in row:
             edges_of[v].append(j)
 
-    # colex rank of each k-subset of {0..t-1}, keyed by its color mask
+    rank_of, without, subs, sup = _subset_tables(t, k)
     full_mask = (1 << total) - 1
-    without = [full_mask] * t
-    rank_of = {}
-    for sub in combinations(range(t), k):
-        r = subset_rank(sub)
-        rank_of[sum(1 << c for c in sub)] = r
-        for c in sub:
-            without[c] &= ~(1 << r)
 
     rem = [k] * m           # uncolored vertices per edge
     emask = [0] * m         # colors on each edge
@@ -255,6 +446,8 @@ def exists_complete(H: Hypergraph, t: int, *,
     covered = covered_mask = 0
     n_open = m
     bud = _Budget(budget)
+    hall = _Matching(m, total, emask, rem, subs, sup) \
+        if cover_prune else None
 
     def descend(i: int, used: int) -> bool:
         nonlocal covered, covered_mask, n_open
@@ -288,13 +481,19 @@ def exists_complete(H: Hypergraph, t: int, *,
             n_open -= len(closed)
             # open edges too few for the uncovered subsets
             ok = covered + n_open >= total
-            if ok and cover_prune and hit[c] == m:
-                # class c already meets every edge, so every subset
-                # realized from now on contains c
-                if (full_mask ^ covered_mask) & without[c]:
+            saved = False  # whether hall holds a state to undo
+            if ok and cover_prune:
+                if hit[c] == m and (full_mask ^ covered_mask) & without[c]:
+                    # class c already meets every edge, so every subset
+                    # realized from now on contains c
                     ok = False
+                else:
+                    saved = True
+                    ok = hall.assign(ev, c, closed)
             if ok and descend(i + 1, max(used, c + 1)):
                 return True
+            if saved:
+                hall.undo()
             for j in ev:
                 emask[j] ^= bit
                 rem[j] += 1

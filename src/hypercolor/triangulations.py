@@ -166,7 +166,13 @@ class Embedding:
         return Embedding._trusted(tuple(new))
 
     def relabel(self, perm) -> "Embedding":
-        """Apply a vertex permutation (perm[v] = new id of v)."""
+        """Apply a vertex permutation (perm[v] = new id of v).
+
+        Raises :class:`EmbeddingError` unless perm is a permutation of
+        range(n).
+        """
+        if sorted(perm) != list(range(self.n)):
+            raise EmbeddingError(f"relabel needs a permutation of range({self.n})")
         new = [()] * self.n
         for v, nbrs in enumerate(self.rotation):
             new[perm[v]] = tuple(int(perm[w]) for w in nbrs)

@@ -136,6 +136,16 @@ def test_criterion_5_triangulation_enumeration():
             pool = list(itertools.combinations(range(n), 2))
             reps = []
             for keep in itertools.combinations(pool, 3 * n - 6):
+                # in a triangulation on n >= 4 vertices every vertex has
+                # degree >= 3 and every edge borders two triangles, so
+                # subsets that fail either need no graph
+                adj = [0] * n
+                for u, v in keep:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                if min(a.bit_count() for a in adj) < 3 or any(
+                        (adj[u] & adj[v]).bit_count() < 2 for u, v in keep):
+                    continue
                 g = nx.Graph(keep)
                 if g.number_of_nodes() != n or not nx.is_connected(g):
                     continue

@@ -14,6 +14,7 @@ from hypercolor import (
     Hypergraph,
     SplitPattern,
     complete_uniform,
+    exists_complete,
     grid_part_coloring,
     grid_position_coloring,
     grid_transversal,
@@ -147,6 +148,16 @@ class TestGridFamily:
         assert is_complete(H, colors)
         assert _independent().is_complete_coloring(H.n, 3, H.edge_tuples(),
                                                    colors, t)
+
+    def test_exact_search_finds_k3_band_witness(self):
+        # with the Hall bound the exhaustive search reaches a witness inside
+        # the band in 4,132 nodes; without it 200,000 nodes are not enough
+        H = grid_transversal(3, 10)
+        res = exists_complete(H, 9, budget=20_000)
+        assert res.status == "found"
+        assert is_complete(H, res.witness)
+        assert _independent().is_complete_coloring(
+            H.n, 3, H.edge_tuples(), res.witness.colors, 9)
 
     def test_edge_count_closed_form(self):
         # independent count: per strictly-increasing position set, the

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -116,24 +117,58 @@ class TestExistsComplete:
         assert exists_complete(H, 6).status == "found"
 
 
-# (status, nodes) of exists_complete(..., seed=0), recorded before the
-# coverage bookkeeping was rewritten; any change to the visited tree shows
+# (status, nodes) of exists_complete(..., seed=0) with the default prunes;
+# any change to the visited tree shows
 _PINNED_TREES = [
     ("grid36", 3, "found", 35),
     ("grid36", 4, "found", 59),
-    ("grid36", 5, "found", 288),
-    ("grid36", 6, "found", 3407),
-    ("grid36", 9, "none", 131_840),
+    ("grid36", 5, "found", 236),
+    ("grid36", 6, "found", 1654),
+    ("grid36", 7, "none", 180_842),
+    ("grid36", 8, "none", 122_102),
+    ("grid36", 9, "none", 7_388),
     ("regular15", 4, "none", 760),
     ("order12", 4, "none", 81),
-    ("order12", 5, "none", 473),
+    ("order12", 5, "none", 272),
+]
+
+# the same queries with cover_prune=False, the tree without the
+# dominating-class prune and the Hall bound (t=9 is pinned by
+# test_refutation_without_cover_prune); t = 7 and 8 take over 30 s
+_PINNED_TREES_OFF = [
+    ("grid36", 3, "found", 35),
+    ("grid36", 4, "found", 61),
+    ("grid36", 5, "found", 351),
+    ("grid36", 6, "found", 4005),
+    pytest.param("grid36", 7, "none", 709_371, marks=pytest.mark.slow),
+    pytest.param("grid36", 8, "none", 879_646, marks=pytest.mark.slow),
+    ("regular15", 4, "none", 943),
+    ("order12", 4, "none", 126),
+    ("order12", 5, "none", 504),
 ]
 
 _CORPUS_DIGEST = (
-    "9c34bc3e41c170cf33113ddcec592fc0981b52d9a05a9a3055186c852d481523")
+    "589031dd25ec63dcc795459ff4b4d26bcce1febfe0ea31ff65d2a6710b24133d")
+
+# every t of the paper's instances, and grid(3,6) up to the found range
+# plus the t=9 refutation
+_NAMED_QUERIES = [(name, t) for name, ts in [
+    ("regular15", range(3, 6)),
+    ("order9", range(3, 6)),
+    ("order12", range(3, 7)),
+    ("grid35", range(3, 8)),
+    ("grid36", (3, 4, 5, 6, 9)),
+] for t in ts]
+
+# sha256 of (t, status, witness) over the corpus and _NAMED_QUERIES, no
+# node counts: a prune may shrink the tree, never change an answer
+_DECISIONS_DIGEST = (
+    "954d6194045a433811afed63ac28a6c2cfd46a0648f456cdb553cbe1508c603f")
 
 
 def _pinned_instance(name):
+    if name == "grid35":
+        return grid_transversal(3, 5)
     if name == "grid36":
         return grid_transversal(3, 6)
     if name == "regular15":
@@ -142,38 +177,80 @@ def _pinned_instance(name):
     return parse_hypergraph(data.read_text())
 
 
+@functools.lru_cache(maxsize=None)
+def _solve(name, t, cover_prune=True):
+    # shared by the tests below, so each exhaustive run happens once
+    return exists_complete(_pinned_instance(name), t, seed=0,
+                           cover_prune=cover_prune)
+
+
+def _corpus_queries():
+    """(H, t, seed) for small random 3-uniform instances, every t up to
+    the counting bound."""
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(7, 11)
+        H = random_uniform_hypergraph(rng, n, 3, rng.randint(10, 40))
+        for t in range(3, psi_upper_bound(H) + 1):
+            yield H, t, t
+
+
 class TestSearchTree:
     @pytest.mark.parametrize("name,t,status,nodes", _PINNED_TREES)
     def test_pinned_nodes(self, name, t, status, nodes):
-        res = exists_complete(_pinned_instance(name), t, seed=0)
+        res = _solve(name, t)
+        assert (res.status, res.nodes) == (status, nodes)
+
+    @pytest.mark.parametrize("name,t,status,nodes", _PINNED_TREES_OFF)
+    def test_pinned_nodes_without_cover_prune(self, name, t, status, nodes):
+        res = _solve(name, t, cover_prune=False)
         assert (res.status, res.nodes) == (status, nodes)
 
     def test_refutation_without_cover_prune(self):
-        res = exists_complete(grid_transversal(3, 6), 9, seed=0,
-                              cover_prune=False)
+        res = _solve("grid36", 9, cover_prune=False)
         assert (res.status, res.nodes) == ("none", 131_840)
 
     def test_pinned_witness(self):
-        res = exists_complete(grid_transversal(3, 6), 6, seed=0)
+        res = _solve("grid36", 6)
         assert res.witness.colors == (0, 3, 5, 4, 2, 1) * 3
 
     def test_corpus_digest(self):
         # statuses, node counts and witnesses on small random 3-uniform
         # instances, every t up to the counting bound, prune on and off
-        rng = random.Random(5)
         rows = []
-        for _ in range(60):
-            n = rng.randint(7, 11)
-            H = random_uniform_hypergraph(rng, n, 3, rng.randint(10, 40))
-            for t in range(3, psi_upper_bound(H) + 1):
-                for cp in (True, False):
-                    res = exists_complete(H, t, cover_prune=cp, seed=t)
-                    w = res.witness.colors if res.witness else None
-                    rows.append((t, cp, res.status, res.nodes, w))
+        for H, t, seed in _corpus_queries():
+            for cp in (True, False):
+                res = exists_complete(H, t, cover_prune=cp, seed=seed)
+                w = res.witness.colors if res.witness else None
+                rows.append((t, cp, res.status, res.nodes, w))
         assert len(rows) == 442
-        assert sum(r[3] for r in rows) == 3078
+        assert sum(r[3] for r in rows) == 2746
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == _CORPUS_DIGEST
+
+    def test_decisions_digest(self):
+        rows = []
+        for H, t, seed in _corpus_queries():
+            res = exists_complete(H, t, seed=seed)
+            rows.append((t, res.status,
+                         res.witness.colors if res.witness else None))
+        for name, t in _NAMED_QUERIES:
+            res = _solve(name, t)
+            rows.append((t, res.status,
+                         res.witness.colors if res.witness else None))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == _DECISIONS_DIGEST
+
+    def test_prunes_only_shrink_the_tree(self):
+        # the same answer and witness with the prunes off, never fewer nodes
+        runs = [(exists_complete(H, t, seed=seed),
+                 exists_complete(H, t, seed=seed, cover_prune=False))
+                for H, t, seed in _corpus_queries()]
+        runs += [(_solve(name, t), _solve(name, t, cover_prune=False))
+                 for name, t in _NAMED_QUERIES]
+        for on, off in runs:
+            assert (on.status, on.witness) == (off.status, off.witness)
+            assert on.nodes <= off.nodes
 
 
 @st.composite
@@ -303,9 +380,10 @@ class TestSpectrum:
         # K8 has psi 8, but with one node per search nothing is decided
         rep = spectrum(complete_uniform(8, 2), budget=1)
         assert rep.psi is None and rep.to_dict()["psi"] is None
-        # t = 6 and 7 run out above the verified 3, 4 and 5
+        # t = 6 runs out above the verified 3, 4 and 5 (t = 7 is refuted
+        # in 1,582 nodes)
         rep = spectrum(grid_transversal(3, 5), budget=2000)
-        assert rep.feasible == (3, 4, 5) and rep.unknown == (6, 7)
+        assert rep.feasible == (3, 4, 5) and rep.unknown == (6,)
         assert rep.psi is None
         # an unknown t below the largest feasible one leaves psi exact
         rep = spectrum(regular15(), budget=100)

@@ -72,6 +72,13 @@ class TestEmbeddingBasics:
             assert Embedding(f.rotation).rotation == f.rotation
             assert all(type(w) is int for r in f.rotation for w in r)
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 3, 4],
+                                      [1, 2, 3, 4]])
+    def test_relabel_rejects_non_permutations(self, perm):
+        # a repeated id used to give a loop and an empty rotation row
+        with pytest.raises(EmbeddingError):
+            tetrahedron().relabel(perm)
+
     def test_euler_relation_everywhere(self):
         for e in enumerate_triangulations(7):
             assert len(e.faces()) - e.m + e.n == 2
