@@ -22,7 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Coloring, DocumentError, Hypergraph, _chunks, dump_json
+from .core import (Coloring, DocumentError, Hypergraph, _chunks, _dtype_for,
+                   dump_json)
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
@@ -77,7 +78,8 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
     distinct that either has at most one adjacent position pair
     (|q_i - q_j| = 1) or is strictly increasing.  Distinct assignments
     give distinct edges, so no dedup pass is needed; the generator emits
-    rows already in lexicographic order.
+    ascending rows already in lexicographic order, so the hypergraph
+    keeps the array it fills without a copy.
     """
     params = GridParams(k, r)
     if r ** k > _GRID_SCAN_CAP:
@@ -101,17 +103,18 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
             adj += (q == q0 - 1) | (q == q0 + 1)
         keep.append(ok & ((adj <= 1) | (increasing & (tail[0] > q0))))
     # each q0's rows are its kept tail rows with q0 in front
-    block = np.empty((tail.shape[1], k), dtype=np.int16)
+    dtype = _dtype_for(params.n)
+    block = np.empty((tail.shape[1], k), dtype=dtype)
     for i, q in enumerate(tail, start=1):
         block[:, i] = q + i * r
     counts = [int(np.count_nonzero(mask)) for mask in keep]
-    edges = np.empty((sum(counts), k), dtype=np.int16)
+    edges = np.empty((sum(counts), k), dtype=dtype)
     lo = 0
     for q0, (mask, count) in enumerate(zip(keep, counts)):
         block[:, 0] = q0
         np.compress(mask, block, axis=0, out=edges[lo:lo + count])
         lo += count
-    return Hypergraph(params.n, k, edges)
+    return Hypergraph._trusted(params.n, k, edges)
 
 
 def grid_part_coloring(k: int, r: int) -> Coloring:

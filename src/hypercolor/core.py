@@ -9,7 +9,11 @@ few hundred MB.  The bulk paths work one column at a time over chunks of
 edges, never on per-edge Python objects or (m, k) temporaries: the
 predicates gather colors per column and sort each row with a
 compare-exchange network over the k columns, and construction checks row
-order column by column, sorting only what is out of order.
+order column by column, sorting only what is out of order.  The public
+constructor copies and validates whatever it is given; the package's own
+builders whose rows are canonical by construction (the grid generator,
+the split-search lifts) hand over their fresh arrays through
+``Hypergraph._trusted`` instead, which keeps them without a copy.
 
 Degenerate-instance conventions, used consistently across the package:
 
@@ -111,7 +115,22 @@ class Hypergraph:
         if not isinstance(k, int) or isinstance(k, bool) or k < 2:
             raise DocumentError(f"edge size must be an int >= 2, got {k!r}")
         arr = self._coerce(n, k, edges)
-        arr = self._canonicalize(n, k, arr, dedup)
+        self._adopt(n, k, self._canonicalize(n, k, arr, dedup))
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, arr: np.ndarray) -> "Hypergraph":
+        """Wrap an edge array the package has just built, without a copy.
+
+        ``arr`` must be an (m, k) C-contiguous array in ``_dtype_for(n)``
+        whose rows are ascending, in range and in strictly increasing
+        lexicographic order, and the caller must hold no other reference
+        to it: it is marked read-only and stored unchecked.
+        """
+        H = object.__new__(cls)
+        H._adopt(n, k, arr)
+        return H
+
+    def _adopt(self, n: int, k: int, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)

@@ -39,8 +39,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import canon
-from .constructions import SplitPattern, lift_layout
-from .core import Hypergraph, _iter_independent, covers_all, independent_sets
+from .constructions import SplitPattern, lift_layout, split_lift
+from .core import (Hypergraph, _dtype_for, _iter_independent, covers_all,
+                   independent_sets)
 from .solver import (
     EnumerationCapExceeded,
     _proper_search,
@@ -51,9 +52,13 @@ from .solver import (
 
 _MAX_BASE = 8
 
-# group-min pattern canonicalization is used when the precomputed action
-# stays this small; beyond it the lifted hypergraph's canonical form
-# serves as the orbit key instead
+# group-min pattern canonicalization (canonical_bits) is used while the
+# symmetry action has at most this many (base permutation, copy swap,
+# slot) cells; beyond it the lift's canonical form is the orbit key.  The
+# order-12 space (720 * 64 * 60 = 2.76M cells) stays on the canonical
+# form because it is cheaper there: canonical_bits takes 380-480 us a
+# call, canon.canonical_form 170-230 us plus 12-20 us to build the lift
+# (2-vCPU VM, the gate forced open to time canonical_bits)
 _FAST_GROUP_CELLS = 1_000_000
 
 _RESTART_QUOTA = 200        # candidates per randomized restart
@@ -167,14 +172,19 @@ class _LiftSpace:
 
         # per edge: its slots are consecutive, so (bits >> first) & width
         # picks one of its lifts; per lift, (vertex, its co-members' bits)
+        # in lift_table and the ascending lifted row in row_table
         self.lift_table = []
+        self.row_table = []
         for (fixed, copies), sl in zip(self.rows, self.edge_slots):
-            lifts = []
+            lifts, rows = [], []
             for combo in range(1 << len(sl)):
                 row = fixed + [c + ((combo >> i) & 1) for i, c in enumerate(copies)]
                 word = sum(1 << v for v in row)
                 lifts.append(tuple((v, word ^ (1 << v)) for v in row))
-            self.lift_table.append((sl[0] if sl else 0, (1 << len(sl)) - 1, lifts))
+                rows.append(tuple(row))
+            first, width = (sl[0] if sl else 0), (1 << len(sl)) - 1
+            self.lift_table.append((first, width, lifts))
+            self.row_table.append((first, width, rows))
 
         # symmetry action on slot bits: base permutations preserving the
         # split set, composed with per-vertex copy swaps
@@ -224,10 +234,17 @@ class _LiftSpace:
         return masks, deg
 
     def build(self, bits: int) -> Hypergraph:
-        """split_lift(self.pattern(bits)) without the SplitPattern round trip."""
-        edges = [[v for v, _ in lifts[(bits >> first) & width]]
-                 for first, width, lifts in self.lift_table]
-        return Hypergraph(self.n, self.k, edges, dedup=True)
+        """split_lift(self.pattern(bits)) without the SplitPattern round trip.
+
+        Each lifted row is ascending (``lift_layout`` numbers copies above
+        the unsplit vertices, in split order) and distinct lifts stay
+        distinct, so sorting the rows makes the edge array canonical and
+        it needs no validating pass.
+        """
+        rows = sorted([lifted[(bits >> first) & width]
+                       for first, width, lifted in self.row_table])
+        return Hypergraph._trusted(self.n, self.k,
+                                   np.array(rows, dtype=_dtype_for(self.n)))
 
     def pattern(self, bits: int) -> SplitPattern:
         lifts = tuple(
@@ -470,11 +487,13 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     out = []
     for key in sorted(hits):
         bits, report = hits[key]
-        H = space.build(bits)
-        if not _validate_hit(H, report, target):
+        # the emitted pattern is re-lifted by the validating constructor,
+        # not by the search's own trusted builder
+        pattern = space.pattern(bits)
+        if not _validate_hit(split_lift(pattern), report, target):
             stats["validation_rejects"] += 1
             continue
-        out.append((space.pattern(bits), report))
+        out.append((pattern, report))
     stats["hits"] = len(out)
     return SearchResult(hits=tuple(out), stats=dict(stats))
 

@@ -674,8 +674,12 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
         powers = np.array([t ** j for j in range(n)], dtype=np.int64)
         for lo in range(0, t ** n, _BRUTE_CHUNK):
             hi = min(lo + _BRUTE_CHUNK, t ** n)
+            # decode one digit column at a time: a whole-chunk decode
+            # makes (chunk, n) int64 quotient and remainder temporaries
             idx = np.arange(lo, hi, dtype=np.int64)
-            A = ((idx[:, None] // powers[None, :]) % t).astype(np.int8)
+            A = np.empty((hi - lo, n), dtype=np.int8)
+            for j in range(n):
+                A[:, j] = idx // powers[j] % t
             keep = np.ones(len(idx), dtype=bool)
             for c in range(t):  # surjectivity
                 keep &= (A == c).any(axis=1)

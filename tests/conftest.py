@@ -9,10 +9,12 @@ implementations can be compared on random instances.
 import itertools
 import os
 import random
+import tracemalloc
 
 import pytest
 
 from hypercolor import Hypergraph
+from hypercolor.core import _dtype_for
 from hypercolor.triangulations import (
     _bfs_closure,
     _insert_vertex,
@@ -59,6 +61,27 @@ def random_uniform_hypergraph(rng, n, k, m):
     pool = list(itertools.combinations(range(n), k))
     rng.shuffle(pool)
     return Hypergraph(n, k, pool[:min(m, len(pool))])
+
+
+def assert_trusted_edges(H):
+    """A hypergraph built without the validating constructor must equal
+    the one that constructor makes from a copy of its edges, and store
+    the array that constructor would: id dtype, C order, read-only."""
+    ref = Hypergraph(H.n, H.k, H.edges.copy())
+    assert ref == H and hash(ref) == hash(H)
+    assert H.edges.dtype == _dtype_for(H.n)
+    assert H.edges.flags["C_CONTIGUOUS"]
+    assert not H.edges.flags.writeable
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced while fn ran); numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def enumerate_by_insertion(n):

@@ -25,6 +25,8 @@ from hypercolor import (
 )
 from hypercolor.constructions import verify_grid_invariants
 
+from conftest import assert_trusted_edges, traced_peak
+
 
 def _independent():
     """The benchmark's reference checks, which import nothing from hypercolor."""
@@ -93,6 +95,18 @@ class TestGridFamily:
         E = grid_transversal(k, r).edges
         assert E.dtype == np.int16 and E.flags["C_CONTIGUOUS"]
         assert hashlib.sha256(E.tobytes()).hexdigest() == digest
+
+    # the cases of test_edges_digest
+    @pytest.mark.parametrize("k,r", [(3, r) for r in range(3, 11)]
+                             + [(4, 9), (5, 8)])
+    def test_trusted_edges_match_constructor(self, k, r):
+        assert_trusted_edges(grid_transversal(k, r))
+
+    def test_generation_keeps_one_edge_array(self):
+        # the hypergraph adopts the array the generator fills; a copy
+        # would put the traced peak near 3x the edge bytes
+        H, peak = traced_peak(lambda: grid_transversal(5, 20))
+        assert peak <= 2 * H.edges.nbytes
 
     def test_invariants_detect_defects(self):
         k, r = 3, 8

@@ -30,6 +30,8 @@ from hypercolor.gapsearch import (
 )
 from hypercolor.solver import _proper_search
 
+from conftest import assert_trusted_edges
+
 DATA = Path(__file__).parent / "data"
 
 # sha256 over sorted stats and the JSON of every hit pattern and report of
@@ -191,6 +193,12 @@ class TestLiftSpace:
             assert space.build(bits) == split_lift(space.pattern(bits))
 
     @pytest.mark.parametrize("base_m, split, sample", _SPACES)
+    def test_build_trusted_edges(self, base_m, split, sample):
+        space = _space(base_m, split, 3)
+        for bits in _patterns(space, base_m, sample):
+            assert_trusted_edges(space.build(bits))
+
+    @pytest.mark.parametrize("base_m, split, sample", _SPACES)
     def test_screen_data_matches_lift(self, base_m, split, sample):
         space = _space(base_m, split, 3)
         for bits in _patterns(space, base_m, sample):
@@ -238,15 +246,24 @@ class TestLiftSpace:
     ])
     def test_one_build_per_candidate(self, monkeypatch, base_m, split,
                                      require, forbid, budget):
+        # count at both construction seams: the validating constructor
+        # and the trusted path the lift builder takes
         builds = 0
         init = Hypergraph.__init__
+        trusted = Hypergraph._trusted
 
         def counted(self, *args, **kwargs):
             nonlocal builds
             builds += 1
             init(self, *args, **kwargs)
 
+        def counted_trusted(*args):
+            nonlocal builds
+            builds += 1
+            return trusted(*args)
+
         monkeypatch.setattr(Hypergraph, "__init__", counted)
+        monkeypatch.setattr(Hypergraph, "_trusted", staticmethod(counted_trusted))
         res = split_search(base_m, split, require=require, forbid=forbid,
                            budget=budget, seed=0)
         st = res.stats

@@ -34,7 +34,7 @@ from hypercolor import (
 )
 from hypercolor import solver
 
-from conftest import naive_spectrum, random_uniform_hypergraph
+from conftest import naive_spectrum, random_uniform_hypergraph, traced_peak
 
 
 def cycle(n):
@@ -463,6 +463,16 @@ class TestBruteForce:
         want = brute_force_spectrum(H)
         monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
         assert brute_force_spectrum(H) == want == {3}
+
+
+def test_brute_force_decodes_column_wise():
+    # 3**9 + 4**9 + 5**9 assignments of the order-9 gap instance in
+    # 1M-row passes; (chunk, n) int64 decode temporaries would pass 150 MB
+    text = (Path(__file__).parent / "data" / "order9.json").read_text()
+    H = parse_hypergraph(text)
+    got, peak = traced_peak(lambda: brute_force_spectrum(H))
+    assert got == {3, 5}
+    assert peak <= 50_000_000
 
 
 @pytest.mark.parametrize("call", [
