@@ -5,32 +5,24 @@ descending-degree order with first-use color symmetry breaking: color c
 may only be tried if every color below c is already in use.  On top of
 properness the complete-coloring search maintains coverage state (which
 k-subsets of colors are already realized by a fully colored edge) and
-prunes branches whose remaining open edges cannot cover the missing
-subsets, or whose newest color class meets every edge while a subset
-without that color is still missing.
+prunes branches whose remaining open edges are fewer than the missing
+subsets.
 
 With ``cover_prune`` (the default) it also prunes by Hall's condition:
-every missing subset needs its own open edge whose colors it contains,
-so a node survives only if a matching takes the missing subsets to
-distinct such edges.  ``_Matching`` carries one from node to node.
-Open edges with the same color mask are interchangeable, so a subset is
-matched to a mask, and a mask holds at most as many subsets as it has
-open edges.  An assignment moves the vertex's edges to larger masks; a
-mask left with more subsets than edges passes one on along an
-alternating path, found by a breadth-first search over masks on bitsets
-of subsets, and a failed search exhibits the Hall violation.  Each
-assignment copies the matching first (two dicts with one entry per mask
-of fewer than k colors, and one list entry per subset), so backtracking
-restores the parent's matching exactly.  The prune cuts only subtrees
-without a complete leaf and the visiting order is unchanged, so answers
-and witnesses do not depend on ``cover_prune``, and it never adds nodes.
+the missing subsets need distinct open edges, and edge j can take
+subset S when j's colors are a proper subset of S and j's uncolored
+vertices can take the colors S lacks, one each, none held by a
+neighbor (the domain-aware matching of Regin's alldifferent filter,
+used as forward checking).  ``_Hall`` repairs one such matching from
+node to node.  The prune cuts only subtrees without a complete leaf and
+the visiting order is unchanged, so answers and witnesses do not depend
+on ``cover_prune``, and it never adds nodes.
 
 Apart from that repair, each assignment costs constant work per incident
-edge: every edge keeps a bitmask of its colors, a table built with the
-subset list maps a full mask to the subset's rank, each node keeps the
-ranks of the edges it closed so undo never recomputes them, and a
-per-color counter of the edges meeting the class (properness puts at
-most one vertex of a class on an edge) replaces a scan of all edges.
+edge and neighbor: every edge keeps a bitmask of its colors, a table
+built with the subset list maps a full mask to the subset's rank, each
+node keeps the ranks of the edges it closed so undo never recomputes
+them, and every vertex keeps a bitmask of the colors its neighbors hold.
 
 Budgets are counted in nodes, one node per tentative vertex assignment,
 so a run is reproducible across machines.  The seed only permutes
@@ -135,26 +127,6 @@ def _search_order(deg, seed: int) -> list[int]:
     return vs
 
 
-def _neighbor_lists(masks) -> list[list[int]]:
-    out = []
-    for mask in masks:
-        acc = []
-        while mask:
-            low = mask & -mask
-            acc.append(low.bit_length() - 1)
-            mask ^= low
-        out.append(acc)
-    return out
-
-
-def _counts_factory(n: int, t: int):
-    # same-colored-neighbor counts; bytearray caps at 255 so only safe
-    # when no vertex can see that many assigned neighbors
-    if n <= 255:
-        return [bytearray(t) for _ in range(n)]
-    return [[0] * t for _ in range(n)]
-
-
 def _proper_search(n: int, m: int, k: int, masks, deg, t: int,
                    budget: int | None, seed: int):
     """Proper t-coloring DFS on plain data: (status, colors or None, nodes).
@@ -162,6 +134,8 @@ def _proper_search(n: int, m: int, k: int, masks, deg, t: int,
     masks and deg are the conflict masks and degrees of a k-uniform
     hypergraph with n vertices and m edges, so callers that hold them
     without a Hypergraph (the split-search screens) share this search.
+    Each color class is a bitset of vertices, so v may take c when
+    ``masks[v] & cls[c]`` is empty.
     """
     if n == 0:
         return "found", [], 0
@@ -173,8 +147,7 @@ def _proper_search(n: int, m: int, k: int, masks, deg, t: int,
         return "none", None, 0  # an edge needs k distinct colors
 
     order = _search_order(deg, seed)
-    neighbors = _neighbor_lists(masks)
-    cnt = _counts_factory(n, t)
+    cls = [0] * t
     color_of = [-1] * n
     bud = _Budget(budget)
 
@@ -182,19 +155,17 @@ def _proper_search(n: int, m: int, k: int, masks, deg, t: int,
         if i == n:
             return True
         v = order[i]
-        cv = cnt[v]
-        limit = min(used + 1, t)
-        for c in range(limit):
-            if cv[c]:
+        mv = masks[v]
+        bit = 1 << v
+        for c in range(min(used + 1, t)):
+            if mv & cls[c]:
                 continue
             bud.spend()
             color_of[v] = c
-            for w in neighbors[v]:
-                cnt[w][c] += 1
+            cls[c] |= bit
             if descend(i + 1, max(used, c + 1)):
                 return True
-            for w in neighbors[v]:
-                cnt[w][c] -= 1
+            cls[c] ^= bit
             color_of[v] = -1
         return False
 
@@ -226,180 +197,210 @@ def exists_proper(H: Hypergraph, t: int, *,
 def _subset_tables(t: int, k: int):
     """Tables over the k-subsets of colors {0..t-1}, which have colex ranks.
 
-    Returns (rank_of, without, subs, sup): the rank of each subset's color
-    mask; for each color, the bitset of ranks of the subsets without it;
-    for each rank, the proper submasks of its subset, which are the
-    masks an open edge can carry and still realize it; and for each such
-    mask, the bitset of ranks of the subsets that strictly contain it.
-    A function of (t, k) alone, so repeated searches build it once.
+    Returns (rank_of, smask, subs): the rank of each subset's color mask,
+    the color mask of each rank, and for each rank the proper submasks of
+    its subset (largest first), which are the masks an open edge can
+    carry and still realize it.  A function of (t, k) alone, so repeated
+    searches build it once.
     """
-    total = math.comb(t, k)
     rank_of = {}
-    without = [(1 << total) - 1] * t
     for sub in combinations(range(t), k):
-        r = subset_rank(sub)
-        rank_of[sum(1 << c for c in sub)] = r
-        for c in sub:
-            without[c] &= ~(1 << r)
-    subs = [()] * total
-    sup = {}
+        rank_of[sum(1 << c for c in sub)] = subset_rank(sub)
+    smask = [0] * len(rank_of)
+    subs = [()] * len(rank_of)
     for mask, r in rank_of.items():
+        smask[r] = mask
         acc = []
         s = mask
         while s:
             s = (s - 1) & mask
             acc.append(s)
-            sup[s] = sup.get(s, 0) | 1 << r
         subs[r] = tuple(acc)
-    return rank_of, tuple(without), tuple(subs), sup
+    return rank_of, tuple(smask), tuple(subs)
 
 
-class _Matching:
-    """The Hall bound's matching, repaired after each assignment.
+def _distinct_colors(allowed) -> bool:
+    """Whether vertex i can take a color from bitmask allowed[i], no two
+    vertices the same one: Kuhn's augmenting paths over color bits."""
+    owner = {}  # color bit -> the vertex holding it
+    seen = 0
 
-    where[r] is the mask subset r sits on (-1 once covered),
-    members[mask] the bitset of subsets on it and spare[mask] its open
-    edges minus its subsets.  The dicts are keyed by the masks an open
-    edge can carry (fewer than k colors), so nothing is sized 2**t.
-    ``assign`` returns False when Hall's condition fails; either way
-    ``undo`` then restores the state from before it.
+    def place(i):
+        nonlocal seen
+        while True:
+            a = allowed[i] & ~seen
+            if not a:
+                return False
+            b = a & -a
+            seen |= b
+            if b not in owner or place(owner[b]):
+                owner[b] = i
+                return True
+
+    for i in range(len(allowed)):
+        seen = 0
+        if not place(i):
+            return False
+    return True
+
+
+class _Hall:
+    """The Hall bound's matching of uncovered subsets to open edges.
+
+    at[r] is the edge subset r sits on (-1 when covered or displaced),
+    holder[j] the subset on edge j (-1 when free) and bucket[mask] the
+    open edges with that color mask.  A trail of (list, index, old
+    value) lets ``undo`` restore the state from before ``assign``.
     """
 
-    __slots__ = ("emask", "rem", "subs", "sup", "where", "spare",
-                 "members", "saved")
+    __slots__ = ("rows", "edges_of", "color_of", "barred", "emask", "rem",
+                 "smask", "subs", "at", "holder", "bucket", "trail", "marks")
 
-    def __init__(self, m, total, emask, rem, subs, sup):
+    def __init__(self, rows, edges_of, color_of, barred, emask, rem,
+                 smask, subs):
+        self.rows = rows
+        self.edges_of = edges_of
+        self.color_of = color_of
+        self.barred = barred
         self.emask = emask
         self.rem = rem
+        self.smask = smask
         self.subs = subs
-        self.sup = sup
-        # at the root every edge is blank, and the counting bound gave
-        # m >= C(t, k)
-        self.where = [0] * total
-        self.spare = dict.fromkeys(sup, 0)
-        self.spare[0] = m - total
-        self.members = dict.fromkeys(sup, 0)
-        self.members[0] = (1 << total) - 1
-        self.saved = []
+        # at the root every edge is blank and fits every subset, and the
+        # counting bound gave m >= C(t, k)
+        total = len(smask)
+        self.at = list(range(total))
+        self.holder = list(range(total)) + [-1] * (len(rows) - total)
+        self.bucket = {mask: set() for sub in subs for mask in sub}
+        self.bucket[0] = set(range(len(rows)))
+        self.trail = []
+        self.marks = []
 
-    def assign(self, ev, c, closed) -> bool:
-        """v's edges ev just took color c; closed lists the ranks they
-        realized.  False when Hall's condition fails."""
-        emask, rem = self.emask, self.rem
-        where, spare, members = self.where, self.spare, self.members
-        self.saved.append((where, spare, members))
-        self.where = where = where[:]
-        self.spare = spare = spare.copy()
-        self.members = members = members.copy()
-        for r in closed:  # a newly covered subset gives its place back
-            mask = where[r]
-            if mask >= 0:
-                where[r] = -1
-                members[mask] ^= 1 << r
-                spare[mask] += 1
-        bit = 1 << c
-        short = []  # masks that lost an edge they had no spare for
+    def fits(self, j, r) -> bool:
+        """Whether subset r can still be realized by open edge j."""
+        e = self.emask[j]
+        s = self.smask[r]
+        if e & ~s:
+            return False
+        need = s ^ e
+        barred, color_of = self.barred, self.color_of
+        allowed = []
+        tight = False  # some vertex is barred from a color S lacks
+        for u in self.rows[j]:
+            if color_of[u] < 0:
+                a = need & ~barred[u]
+                if a != need:
+                    if not a:
+                        return False
+                    tight = True
+                allowed.append(a)
+        if not tight:
+            return True
+        union = 0
+        for a in allowed:
+            union |= a
+        # two vertices with nonempty masks covering both colors can
+        # always take one each
+        return union == need and (len(allowed) < 3
+                                  or _distinct_colors(allowed))
+
+    def _seat(self, r, j):
+        trail, at, holder = self.trail, self.at, self.holder
+        trail.append((at, r, at[r]))
+        trail.append((holder, j, holder[j]))
+        at[r] = j
+        holder[j] = r
+
+    def _unseat(self, r):
+        trail, at, holder = self.trail, self.at, self.holder
+        j = at[r]
+        trail.append((holder, j, r))
+        trail.append((at, r, j))
+        holder[j] = -1
+        at[r] = -1
+
+    def assign(self, ev, bit, closed, newly) -> bool:
+        """Repair the matching after v's edges ev took color bit.
+
+        closed lists the ranks they realized, newly the neighbors bit
+        was just barred from.  Covered subsets free their
+        edges; the subsets on ev, and those on newly's edges that needed
+        bit there, are re-checked; each one that no longer fits is
+        re-seated by ``_augment``.  False when one cannot be, as Hall's
+        condition then fails.
+        """
+        emask, rem, bucket = self.emask, self.rem, self.bucket
+        at, holder, fits = self.at, self.holder, self.fits
+        self.marks.append(len(self.trail))
+        for j in ev:
+            new = emask[j]
+            bucket[new ^ bit].remove(j)
+            if rem[j]:
+                bucket[new].add(j)
+        for r in closed:  # a newly covered subset gives its edge back
+            if at[r] >= 0:
+                self._unseat(r)
+        loose = []  # subsets whose edge can no longer realize them
+        for j in ev:
+            r = holder[j]
+            if r >= 0 and not (rem[j] and fits(j, r)):
+                self._unseat(r)
+                loose.append(r)
+        smask, edges_of, color_of = self.smask, self.edges_of, self.color_of
+        for w in newly:  # w lost the color; recheck edges that needed it
+            if color_of[w] >= 0:
+                continue
+            for j in edges_of[w]:
+                r = holder[j]
+                if r >= 0 and smask[r] & ~emask[j] & bit and not fits(j, r):
+                    self._unseat(r)
+                    loose.append(r)
+        for r in loose:
+            if not self._augment(r):
+                return False
+        return True
+
+    def _augment(self, root) -> bool:
+        """Seat subset root by a breadth-first search for an augmenting
+        path: a subset reached takes an edge that fits it, and the
+        subset on that edge is reached next.  The path ends at a free
+        edge; each subset on it moves one edge along.  When the search
+        fails, the subsets reached fit fewer edges than there are of
+        them, and Hall's condition fails."""
+        holder, bucket, subs, fits = self.holder, self.bucket, self.subs, \
+            self.fits
+        came = {root: None}  # subset -> (the subset after its edge, that edge)
+        queue = [root]
+        for x in queue:
+            for mask in subs[x]:
+                for j in bucket[mask]:
+                    y = holder[j]
+                    if y in came or not fits(j, x):
+                        continue
+                    if y < 0:
+                        while x != root:  # x takes j, freeing its own
+                            prev, e = came[x]
+                            self._seat(x, j)
+                            x, j = prev, e
+                        self._seat(root, j)
+                        return True
+                    came[y] = (x, j)
+                    queue.append(y)
+        return False
+
+    def undo(self, ev, bit):
+        """Restore the state from before the last ``assign``."""
+        trail = self.trail
+        mark = self.marks.pop()
+        while len(trail) > mark:
+            arr, i, old = trail.pop()
+            arr[i] = old
+        emask, rem, bucket = self.emask, self.rem, self.bucket
         for j in ev:
             new = emask[j]
             if rem[j]:
-                spare[new] += 1
-            old = new ^ bit
-            if spare[old]:
-                spare[old] -= 1
-            else:
-                short.append(old)
-        if not short:
-            return True
-        sup = self.sup
-        roomy = [mask for mask, extra in spare.items() if extra > 0]
-        room = 0  # subsets that fit a mask in roomy
-        for mask in roomy:
-            room |= sup[mask]
-        for old in short:
-            mem = members[old]
-            fit = mem & room
-            if fit:  # one of them moves to a mask with room
-                b = fit & -fit
-                r = b.bit_length() - 1
-                for dest in self.subs[r]:
-                    if spare[dest] > 0:
-                        break
-                where[r] = dest
-                members[old] = mem ^ b
-                members[dest] |= b
-                spare[dest] -= 1
-                if spare[dest]:
-                    continue
-                roomy.remove(dest)
-            else:
-                b = mem & -mem
-                members[old] = mem ^ b
-                if not self._augment(b.bit_length() - 1, roomy):
-                    return False
-            room = 0
-            for mask in roomy:
-                room |= sup[mask]
-        return True
-
-    def _augment(self, root, roomy) -> bool:
-        """Put subset root, which fits no mask in roomy, on a mask.
-
-        A breadth-first search over masks on bitsets of subsets: a mask
-        is reached when a frontier subset contains it, and its members
-        form the next frontier.  The path ends at a mask in roomy, the
-        masks with edges to spare; the subsets on it shift one mask
-        along.  When the search fails, the subsets reached need more
-        edges than the masks reached hold.
-        """
-        where, spare, members = self.where, self.spare, self.members
-        subs, sup = self.subs, self.sup
-        taker = dict.fromkeys(subs[root], root)  # mask -> its next user
-        front = 0
-        for mask in subs[root]:
-            front |= members[mask]
-        todo = None  # masks not reached yet, once needed
-        while True:
-            for dest in roomy:
-                hit = front & sup[dest]
-                if hit:
-                    break
-            else:  # nothing on the frontier fits a mask with room
-                if todo is None:
-                    todo = [mask for mask, mem in members.items()
-                            if mem and mask not in taker]
-                nxt = 0
-                rest = []
-                for mask in todo:
-                    x = front & sup[mask]
-                    if x:
-                        taker[mask] = (x & -x).bit_length() - 1
-                        nxt |= members[mask]
-                    else:
-                        rest.append(mask)
-                if not nxt:
-                    return False
-                front = nxt
-                todo = rest
-                continue
-            break
-        spare[dest] -= 1
-        if not spare[dest]:
-            roomy.remove(dest)
-        r = (hit & -hit).bit_length() - 1
-        while r != root:  # each subset on the path moves one mask along
-            old = where[r]
-            where[r] = dest
-            members[old] ^= 1 << r
-            members[dest] |= 1 << r
-            dest = old
-            r = taker[old]
-        where[root] = dest
-        members[dest] |= 1 << root
-        return True
-
-    def undo(self):
-        """Restore the matching from before the last ``assign``."""
-        self.where, self.spare, self.members = self.saved.pop()
+                bucket[new].remove(j)
+            bucket[new ^ bit].add(j)
 
 
 def exists_complete(H: Hypergraph, t: int, *,
@@ -410,8 +411,10 @@ def exists_complete(H: Hypergraph, t: int, *,
     Quick refutations before any search: an edgeless hypergraph (by
     convention), t < k (properness), t > n (an empty class), and
     C(t, k) > m (more color k-subsets than edges to realize them).
-    cover_prune switches the dominating-class prune and the Hall bound
-    (:class:`_Matching`); answers never depend on it, node counts do.
+    cover_prune switches the Hall bound (:class:`_Hall`): every
+    uncovered subset needs its own open edge whose colors it contains
+    and whose uncolored vertices can still take the colors it lacks.
+    Answers never depend on it, node counts do.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -426,47 +429,47 @@ def exists_complete(H: Hypergraph, t: int, *,
     k = H.k
     n = H.n
     order = _search_order(H.degrees(), seed)
-    neighbors = _neighbor_lists(H.conflict_masks())
-    cnt = _counts_factory(n, t)
+    barred = [0] * n        # colors some neighbor of each vertex holds
     color_of = [-1] * n
 
     m = H.m
+    rows = H.edge_tuples()
     edges_of: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(H.edge_tuples()):
+    for j, row in enumerate(rows):
         for v in row:
             edges_of[v].append(j)
+    neighbors = [{w for j in ev for w in rows[j]} - {v}
+                 for v, ev in enumerate(edges_of)]
 
-    rank_of, without, subs, sup = _subset_tables(t, k)
-    full_mask = (1 << total) - 1
+    rank_of, smask, subs = _subset_tables(t, k)
 
     rem = [k] * m           # uncolored vertices per edge
     emask = [0] * m         # colors on each edge
     cov_cnt = [0] * total   # edges realizing each subset
-    hit = [0] * t           # edges meeting each color class
-    covered = covered_mask = 0
+    covered = 0
     n_open = m
     bud = _Budget(budget)
-    hall = _Matching(m, total, emask, rem, subs, sup) \
-        if cover_prune else None
+    hall = _Hall(rows, edges_of, color_of, barred, emask, rem, smask,
+                 subs) if cover_prune else None
 
     def descend(i: int, used: int) -> bool:
-        nonlocal covered, covered_mask, n_open
+        nonlocal covered, n_open
         if i == n:
             return used == t and covered == total
         if used + n - i < t:
             return False  # cannot open the missing color classes
         v = order[i]
-        cv = cnt[v]
+        bv = barred[v]
         ev = edges_of[v]
         for c in range(min(used + 1, t)):
-            if cv[c]:
+            bit = 1 << c
+            if bv & bit:
                 continue
             bud.spend()
             color_of[v] = c
-            for w in neighbors[v]:
-                cnt[w][c] += 1
-            bit = 1 << c
-            hit[c] += len(ev)  # properness: v's edges meet no other c vertex
+            newly = [w for w in neighbors[v] if not barred[w] & bit]
+            for w in newly:
+                barred[w] |= bit
             closed = []  # ranks of the edges v closes
             for j in ev:
                 emask[j] |= bit
@@ -477,23 +480,16 @@ def exists_complete(H: Hypergraph, t: int, *,
                     cov_cnt[r] += 1
                     if cov_cnt[r] == 1:
                         covered += 1
-                        covered_mask |= 1 << r
             n_open -= len(closed)
             # open edges too few for the uncovered subsets
             ok = covered + n_open >= total
-            saved = False  # whether hall holds a state to undo
-            if ok and cover_prune:
-                if hit[c] == m and (full_mask ^ covered_mask) & without[c]:
-                    # class c already meets every edge, so every subset
-                    # realized from now on contains c
-                    ok = False
-                else:
-                    saved = True
-                    ok = hall.assign(ev, c, closed)
+            held = ok and cover_prune  # whether hall holds a state to undo
+            if held:
+                ok = hall.assign(ev, bit, closed, newly)
             if ok and descend(i + 1, max(used, c + 1)):
                 return True
-            if saved:
-                hall.undo()
+            if held:
+                hall.undo(ev, bit)
             for j in ev:
                 emask[j] ^= bit
                 rem[j] += 1
@@ -501,11 +497,9 @@ def exists_complete(H: Hypergraph, t: int, *,
                 cov_cnt[r] -= 1
                 if cov_cnt[r] == 0:
                     covered -= 1
-                    covered_mask ^= 1 << r
             n_open += len(closed)
-            hit[c] -= len(ev)
-            for w in neighbors[v]:
-                cnt[w][c] -= 1
+            for w in newly:
+                barred[w] ^= bit
             color_of[v] = -1
         return False
 

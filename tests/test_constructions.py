@@ -164,14 +164,24 @@ class TestGridFamily:
                                                    colors, t)
 
     def test_exact_search_finds_k3_band_witness(self):
-        # with the Hall bound the exhaustive search reaches a witness inside
-        # the band in 4,132 nodes; without it 200,000 nodes are not enough
+        # the exhaustive search reaches a witness inside the band in 211
+        # nodes
         H = grid_transversal(3, 10)
         res = exists_complete(H, 9, budget=20_000)
         assert res.status == "found"
         assert is_complete(H, res.witness)
         assert _independent().is_complete_coloring(
             H.n, 3, H.edge_tuples(), res.witness.colors, 9)
+
+    def test_exact_search_finds_grid38_witness(self):
+        # found in 277 nodes; a Hall bound that ignores which colors each
+        # uncolored vertex may still take runs out of 200,000 nodes here
+        H = grid_transversal(3, 8)
+        res = exists_complete(H, 8, budget=2_000)
+        assert res.status == "found"
+        assert is_complete(H, res.witness)
+        assert _independent().is_complete_coloring(
+            H.n, 3, H.edge_tuples(), res.witness.colors, 8)
 
     def test_edge_count_closed_form(self):
         # independent count: per strictly-increasing position set, the

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,7 +102,7 @@ class TestExistsComplete:
             assert got == expect
 
     def test_cover_prune_does_not_change_answers(self, rng):
-        # same decision with and without the dominating-class prune
+        # same decision with and without the Hall bound
         for _ in range(40):
             n = rng.randint(4, 8)
             H = random_uniform_hypergraph(
@@ -121,19 +122,19 @@ class TestExistsComplete:
 # any change to the visited tree shows
 _PINNED_TREES = [
     ("grid36", 3, "found", 35),
-    ("grid36", 4, "found", 59),
-    ("grid36", 5, "found", 236),
-    ("grid36", 6, "found", 1654),
-    ("grid36", 7, "none", 180_842),
-    ("grid36", 8, "none", 122_102),
-    ("grid36", 9, "none", 7_388),
-    ("regular15", 4, "none", 760),
-    ("order12", 4, "none", 81),
-    ("order12", 5, "none", 272),
+    ("grid36", 4, "found", 49),
+    ("grid36", 5, "found", 51),
+    ("grid36", 6, "found", 46),
+    ("grid36", 7, "none", 929),
+    ("grid36", 8, "none", 426),
+    ("grid36", 9, "none", 97),
+    ("regular15", 4, "none", 402),
+    ("order12", 4, "none", 44),
+    ("order12", 5, "none", 93),
 ]
 
-# the same queries with cover_prune=False, the tree without the
-# dominating-class prune and the Hall bound (t=9 is pinned by
+# the same queries with cover_prune=False, the tree without the Hall
+# bound (t=9 is pinned by
 # test_refutation_without_cover_prune); t = 7 and 8 take over 30 s
 _PINNED_TREES_OFF = [
     ("grid36", 3, "found", 35),
@@ -148,7 +149,7 @@ _PINNED_TREES_OFF = [
 ]
 
 _CORPUS_DIGEST = (
-    "589031dd25ec63dcc795459ff4b4d26bcce1febfe0ea31ff65d2a6710b24133d")
+    "234aabc0c408f4ea8c7af1e5455ee0437ee817963a2c4fca8d9c80e36838d140")
 
 # every t of the paper's instances, and grid(3,6) up to the found range
 # plus the t=9 refutation
@@ -166,11 +167,16 @@ _DECISIONS_DIGEST = (
     "954d6194045a433811afed63ac28a6c2cfd46a0648f456cdb553cbe1508c603f")
 
 
+# sha256 of (n, k, m, t, seed, status, witness) over _wide_queries,
+# recorded with a Hall bound that matched subsets to edge color masks
+# alone, so a stronger bound that changes an answer shows here
+_WIDE_DIGEST = (
+    "1b2b8f8dc37dfc94f221fee839c921723a85f4a85ec20faffce44eb52c5a1b5a")
+
+
 def _pinned_instance(name):
-    if name == "grid35":
-        return grid_transversal(3, 5)
-    if name == "grid36":
-        return grid_transversal(3, 6)
+    if name.startswith("grid"):
+        return grid_transversal(int(name[4]), int(name[5]))
     if name == "regular15":
         return regular15()
     data = Path(__file__).parent / "data" / f"{name}.json"
@@ -193,6 +199,28 @@ def _corpus_queries():
         H = random_uniform_hypergraph(rng, n, 3, rng.randint(10, 40))
         for t in range(3, psi_upper_bound(H) + 1):
             yield H, t, t
+
+
+def _wide_queries():
+    """(H, t, seed): the paper's instances, grid(3,5), grid(3,6) but for
+    its two slow refutations, grid(4,4), grid(4,5), and random k = 2..4
+    instances at every t up to the counting bound, each at seeds 0 and 1."""
+    for name, ts in [("regular15", range(3, 6)), ("order9", range(3, 6)),
+                     ("order12", range(3, 7)), ("grid35", range(3, 8)),
+                     ("grid36", (3, 4, 5, 6, 9)), ("grid44", (4,)),
+                     ("grid45", (4, 5))]:
+        H = _pinned_instance(name)
+        for t in ts:
+            for seed in (0, 1):
+                yield H, t, seed
+    rng = random.Random(12)
+    for _ in range(60):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k + 2, 10)
+        H = random_uniform_hypergraph(rng, n, k, rng.randint(n // 2, 40))
+        for t in range(k, psi_upper_bound(H) + 1):
+            for seed in (0, 1):
+                yield H, t, seed
 
 
 class TestSearchTree:
@@ -224,7 +252,7 @@ class TestSearchTree:
                 w = res.witness.colors if res.witness else None
                 rows.append((t, cp, res.status, res.nodes, w))
         assert len(rows) == 442
-        assert sum(r[3] for r in rows) == 2746
+        assert sum(r[3] for r in rows) == 2413
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == _CORPUS_DIGEST
 
@@ -241,6 +269,16 @@ class TestSearchTree:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == _DECISIONS_DIGEST
 
+    def test_wide_decisions_digest(self):
+        rows = []
+        for H, t, seed in _wide_queries():
+            res = exists_complete(H, t, seed=seed)
+            rows.append((H.n, H.k, H.m, t, seed, res.status,
+                         res.witness.colors if res.witness else None))
+        assert len(rows) == 468
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == _WIDE_DIGEST
+
     def test_prunes_only_shrink_the_tree(self):
         # the same answer and witness with the prunes off, never fewer nodes
         runs = [(exists_complete(H, t, seed=seed),
@@ -251,6 +289,190 @@ class TestSearchTree:
         for on, off in runs:
             assert (on.status, on.witness) == (off.status, off.witness)
             assert on.nodes <= off.nodes
+
+
+def _hall_state(n, k, t, rows, colored):
+    """A _Hall over edges rows at the root, and the lists it reads, with
+    the vertices in colored (vertex -> color) then written in by hand;
+    the matching itself is left as at the root."""
+    _rank_of, smask, subs = solver._subset_tables(t, k)
+    color_of = [-1] * n
+    barred = [0] * n
+    emask = [0] * len(rows)
+    rem = [k] * len(rows)
+    edges_of = [[j for j, row in enumerate(rows) if v in row]
+                for v in range(n)]
+    hall = solver._Hall(rows, edges_of, color_of, barred, emask, rem,
+                        smask, subs)
+    for v, c in colored.items():
+        color_of[v] = c
+        for j in edges_of[v]:
+            emask[j] |= 1 << c
+            rem[j] -= 1
+            for w in rows[j]:
+                if w != v:
+                    barred[w] |= 1 << c
+    return hall
+
+
+def _rank(colors):
+    return solver.subset_rank(sorted(colors))
+
+
+class TestEdgeFits:
+    """_Hall.fits: can open edge j still be colored with exactly S?"""
+
+    def test_one_vertex_barred_from_the_color_it_needs(self):
+        rows = [(0, 1, 2), (2, 3, 4)]
+        hall = _hall_state(5, 3, 4, rows, {0: 0, 1: 1})
+        assert hall.fits(0, _rank({0, 1, 2}))
+        assert not hall.fits(0, _rank({1, 2, 3}))  # 0 holds a color not in S
+        hall = _hall_state(5, 3, 4, rows, {0: 0, 1: 1, 3: 2})
+        # vertex 2 needs color 2, which its neighbor 3 holds
+        assert not hall.fits(0, _rank({0, 1, 2}))
+        assert hall.fits(0, _rank({0, 1, 3}))
+
+    def test_two_vertices_fit_only_swapped(self):
+        rows = [(0, 1, 2), (1, 3, 5), (2, 4, 5)]
+        # 1 is barred from 1 (by 3) and 2 from 2 (by 4): 1 -> 2, 2 -> 1
+        hall = _hall_state(6, 3, 5, rows, {0: 0, 3: 1, 4: 2})
+        assert hall.fits(0, _rank({0, 1, 2}))
+        # with 5 holding 1 in place of 4 holding 2, both need color 2
+        hall = _hall_state(6, 3, 5, rows, {0: 0, 3: 1, 5: 1})
+        assert not hall.fits(0, _rank({0, 1, 2}))
+        assert hall.fits(0, _rank({0, 2, 3}))
+
+    def test_blank_edge(self):
+        rows = [(0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8)]
+        # 0 may take only 2 of S = {0, 1, 2}, 1 only 0 or 1, 2 anything
+        hall = _hall_state(9, 3, 3, rows, {3: 0, 4: 1, 5: 2})
+        assert hall.fits(0, _rank({0, 1, 2}))
+        # 0 and 1 may each take only 2: together the three vertices may
+        # take every color of S, but not one each
+        hall = _hall_state(9, 3, 3, rows, {3: 0, 4: 1, 5: 0, 6: 1})
+        assert not hall.fits(0, _rank({0, 1, 2}))
+
+    def test_k4_edge(self):
+        rows = [(0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8), (2, 9, 10, 11),
+                (3, 9, 12, 13)]
+        # 0 and 1 may take 0 or 1 only (4 holds 2, 5 and 7 hold 3), 2 and
+        # 3 may take 2 or 3 only (9 holds 0, 10 and 12 hold 1): each pair
+        # must swap within itself
+        colored = {4: 2, 5: 3, 7: 3, 9: 0, 10: 1, 12: 1}
+        hall = _hall_state(14, 4, 4, rows, colored)
+        assert hall.fits(0, _rank({0, 1, 2, 3}))
+        # 6 holding 1 leaves vertex 0 only color 0, and 8 holding 0
+        # leaves vertex 1 only color 1: still fine
+        hall = _hall_state(14, 4, 4, rows, {**colored, 6: 1, 8: 0})
+        assert hall.fits(0, _rank({0, 1, 2, 3}))
+        # 8 holding 1 instead leaves vertices 0 and 1 both only color 0
+        hall = _hall_state(14, 4, 4, rows, {**colored, 6: 1, 8: 1})
+        assert not hall.fits(0, _rank({0, 1, 2, 3}))
+
+
+def _hall_oracle(H, t, color_of, vertex_level):
+    """Can the uncovered t-color k-subsets go to distinct open edges that
+    can still realize them?  With vertex_level False an edge fits S when
+    its colors are a proper subset of S (the mask-level bound); with
+    True its uncolored vertices must also take the colors S lacks, one
+    each, none held by a neighbor.  A maximum matching from networkx."""
+    rows = H.edge_tuples()
+    held = [{color_of[w] for e in rows if v in e for w in e if w != v}
+            for v in range(H.n)]
+    covered = {frozenset(color_of[v] for v in e) for e in rows
+               if all(color_of[v] >= 0 for v in e)}
+    G = nx.Graph()
+    subsets = [frozenset(S) for S in itertools.combinations(range(t), H.k)
+               if frozenset(S) not in covered]
+    G.add_nodes_from(("S", S) for S in subsets)
+    for j, e in enumerate(rows):
+        free = [v for v in e if color_of[v] < 0]
+        if not free:
+            continue
+        have = {color_of[v] for v in e if color_of[v] >= 0}
+        for S in subsets:
+            if not have < S:
+                continue
+            if vertex_level and not any(
+                    all(c not in held[v] for v, c in zip(free, perm))
+                    for perm in itertools.permutations(S - have)):
+                continue
+            G.add_edge(("S", S), ("e", j))
+    match = nx.bipartite.maximum_matching(
+        G, top_nodes=[("S", S) for S in subsets])
+    return all(("S", S) in match for S in subsets)
+
+
+def _replay(H, t, steps):
+    """_Hall.assign's answer after each (v, c) in steps, with the state
+    kept as exists_complete keeps it; stops after the first False."""
+    rows = H.edge_tuples()
+    rank_of = solver._subset_tables(t, H.k)[0]
+    hall = _hall_state(H.n, H.k, t, rows, {})
+    color_of, barred, emask, rem = (hall.color_of, hall.barred, hall.emask,
+                                    hall.rem)
+    for v, c in steps:
+        bit = 1 << c
+        color_of[v] = c
+        ev = hall.edges_of[v]
+        newly = [w for w in {w for j in ev for w in rows[j]} - {v}
+                 if not barred[w] & bit]
+        for w in newly:
+            barred[w] |= bit
+        closed = []
+        for j in ev:
+            emask[j] |= bit
+            rem[j] -= 1
+            if rem[j] == 0:
+                closed.append(rank_of[emask[j]])
+        ok = hall.assign(ev, bit, closed, newly)
+        yield ok
+        if not ok:
+            return
+
+
+class TestHallBound:
+    def test_prunes_where_the_mask_level_bound_passes(self):
+        # the 4-cycle at t = 3 with 0 := 0 and 2 := 1: every open edge
+        # has one uncolored vertex, 1 or 3, which may take only color 2,
+        # so no edge can still realize {0, 1}; by masks alone {0, 1}
+        # could take edge 01 or 12
+        H = cycle(4)
+        color_of = [0, -1, 1, -1]
+        assert _hall_oracle(H, 3, color_of, vertex_level=False)
+        assert not _hall_oracle(H, 3, color_of, vertex_level=True)
+        assert list(_replay(H, 3, [(0, 0), (2, 1)])) == [True, False]
+
+    def test_repair_agrees_with_a_fresh_matching(self, rng):
+        # each assignment repairs the matching in place; a matching built
+        # from scratch must give the same verdict at every step
+        verdicts = set()
+        for _ in range(150):
+            k = rng.randint(2, 4)
+            n = rng.randint(k + 2, 9)
+            H = random_uniform_hypergraph(
+                rng, n, k, rng.randint(n, min(3 * n, math.comb(n, k))))
+            t = rng.randint(k, max(k, psi_upper_bound(H)))
+            if math.comb(t, k) > H.m:
+                continue
+            vs = list(range(n))
+            rng.shuffle(vs)
+            steps = []
+            color_of = [-1] * n
+            for v in vs:  # a random proper partial coloring
+                held = {color_of[w] for e in H.edge_tuples() if v in e
+                        for w in e}
+                free = [c for c in range(t) if c not in held]
+                if not free:
+                    break
+                color_of[v] = rng.choice(free)
+                steps.append((v, color_of[v]))
+            color_of = [-1] * n
+            for (v, c), ok in zip(steps, _replay(H, t, steps)):
+                color_of[v] = c
+                assert ok == _hall_oracle(H, t, color_of, True), (H, t, steps)
+                verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 @st.composite
@@ -380,9 +602,9 @@ class TestSpectrum:
         # K8 has psi 8, but with one node per search nothing is decided
         rep = spectrum(complete_uniform(8, 2), budget=1)
         assert rep.psi is None and rep.to_dict()["psi"] is None
-        # t = 6 runs out above the verified 3, 4 and 5 (t = 7 is refuted
-        # in 1,582 nodes)
-        rep = spectrum(grid_transversal(3, 5), budget=2000)
+        # t = 6 runs out above the verified 3, 4 and 5 (it is refuted in
+        # 406 nodes, t = 7 in 106)
+        rep = spectrum(grid_transversal(3, 5), budget=200)
         assert rep.feasible == (3, 4, 5) and rep.unknown == (6,)
         assert rep.psi is None
         # an unknown t below the largest feasible one leaves psi exact
