@@ -30,6 +30,7 @@ from .solver import (
     EnumerationCapExceeded,
     InvalidWitnessError,
     SolveResult,
+    VertexLimitError,
     achromatic_number,
     brute_force_spectrum,
     chromatic_number,
@@ -65,6 +66,7 @@ __all__ = [
     "SpectrumReport",
     "SplitPattern",
     "UniformityError",
+    "VertexLimitError",
     "VertexRangeError",
     "achromatic_number",
     "brute_force_spectrum",

@@ -94,24 +94,26 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
         distinct &= d != 0
         adjacent += (d == 1) | (d == -1)
     increasing = (tail[1:] > tail[:-1]).all(axis=0)
-    keep = []
+    keep, counts = [], []  # each q0's mask of kept tails, one bit per tail
     for q0 in range(r):
         ok = distinct.copy()
         adj = adjacent.copy()
         for q in tail:
             ok &= q != q0
             adj += (q == q0 - 1) | (q == q0 + 1)
-        keep.append(ok & ((adj <= 1) | (increasing & (tail[0] > q0))))
+        mask = ok & ((adj <= 1) | (increasing & (tail[0] > q0)))
+        keep.append(np.packbits(mask))
+        counts.append(int(np.count_nonzero(mask)))
     # each q0's rows are its kept tail rows with q0 in front
     dtype = _dtype_for(params.n)
     block = np.empty((tail.shape[1], k), dtype=dtype)
     for i, q in enumerate(tail, start=1):
         block[:, i] = q + i * r
-    counts = [int(np.count_nonzero(mask)) for mask in keep]
     edges = np.empty((sum(counts), k), dtype=dtype)
     lo = 0
-    for q0, (mask, count) in enumerate(zip(keep, counts)):
+    for q0, (bits, count) in enumerate(zip(keep, counts)):
         block[:, 0] = q0
+        mask = np.unpackbits(bits, count=tail.shape[1]).view(bool)
         np.compress(mask, block, axis=0, out=edges[lo:lo + count])
         lo += count
     return Hypergraph._trusted(params.n, k, edges)

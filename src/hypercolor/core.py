@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -224,9 +225,10 @@ class Hypergraph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex edge membership counts, length n."""
-        if self.m == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        deg = np.zeros(self.n, dtype=np.int64)
+        for sl in _chunks(self.m):
+            deg += np.bincount(self.edges[sl].ravel(), minlength=self.n)
+        return deg
 
     def isolated_vertices(self) -> list[int]:
         return [int(v) for v in np.nonzero(self.degrees() == 0)[0]]
@@ -235,14 +237,19 @@ class Hypergraph:
         """Per-vertex bitmask of vertices sharing an edge with it.
 
         Built once per instance and cached; the co-edged pairs are
-        deduplicated as ``a * n + b`` keys first, in O(m * k^2) memory.
+        deduplicated as ``a * n + b`` keys, in the narrowest dtype that
+        holds n * n, one chunk of edges at a time and then across chunks.
         """
         if self._masks is None:
             n = self.n
-            E = self.edges.astype(np.int64)
-            keys = np.unique(np.concatenate(
-                [E[:, i] * n + E[:, j] for i in range(self.k)
-                 for j in range(i + 1, self.k)]))
+            dtype = _dtype_for(n * n)
+            parts = [np.empty(0, dtype=dtype)]
+            for sl in _chunks(self.m):
+                E = self.edges[sl].astype(dtype)
+                parts.append(np.unique(np.concatenate(
+                    [E[:, i] * n + E[:, j] for i in range(self.k)
+                     for j in range(i + 1, self.k)])))
+            keys = parts[-1] if len(parts) <= 2 else np.unique(np.concatenate(parts))
             masks = [0] * n
             for a, b in zip((keys // n).tolist(), (keys % n).tolist()):
                 masks[a] |= 1 << b
@@ -513,8 +520,25 @@ def hypergraph_to_dict(H: Hypergraph) -> dict:
 
 
 def serialize_hypergraph(H: Hypergraph, *, pretty: bool = False) -> str:
-    """Canonical JSON text.  Equal hypergraphs serialize byte-identically."""
-    return dump_json(hypergraph_to_dict(H), pretty=pretty)
+    """Canonical JSON text.  Equal hypergraphs serialize byte-identically.
+
+    The bytes of ``dump_json(hypergraph_to_dict(H))``, with the edge
+    rows encoded one chunk at a time, so no list of every row is built.
+    """
+    head, tail = dump_json({"k": H.k, "n": H.n, "edges": []},
+                           pretty=pretty).rsplit("[]", 1)
+    pieces = [head, "["]
+    for sl in _chunks(H.m):
+        rows = H.edges[sl].tolist()
+        if sl.start:
+            pieces.append(",")
+        if pretty:  # the rows of an indent=2 list, one level deeper
+            pieces.append(json.dumps(rows, indent=2)[1:-2].replace("\n", "\n  "))
+        else:
+            pieces.append(json.dumps(rows, separators=(",", ":"))[1:-1])
+        del rows
+    pieces += ["\n  ]" if pretty and H.m else "]", tail]
+    return "".join(pieces)
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -526,14 +550,115 @@ def _require_int(doc: dict, key: str) -> int:
     return val
 
 
+# JSON whitespace as the json module reads it; the end of one row and the
+# start of the next; the end of the last row and of the list around it
+_WS = re.compile(r"[ \t\n\r]*")
+_ROW_CUT = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
+_LIST_END = re.compile(r"\][ \t\n\r]*\]")
+# characters of edge rows decoded to Python lists at once
+_SLICE_CHARS = 1 << 18
+
+
+def _walk_object(text: str):
+    """The fields of a top-level JSON object other than ``edges``, and
+    the span of text between the brackets of ``edges``, which is only
+    located: its rows are decoded by ``_edge_rows``.  None for a
+    document the walk does not take (not an object, a repeated key, no
+    list in ``edges``, trailing data); json.loads then reads it."""
+    ws = _WS.match
+    scan = json.JSONDecoder().scan_once
+    fields, span = {}, None
+    i = ws(text).end()
+    if text[i:i + 1] != "{":
+        return None
+    i = ws(text, i + 1).end()
+    while text[i:i + 1] == '"':
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = ws(text, i).end()
+        if text[i:i + 1] != ":" or key in fields:
+            return None
+        i = ws(text, i + 1).end()
+        if key != "edges":
+            fields[key], i = scan(text, i)
+        elif text[i:i + 1] != "[":
+            return None
+        else:
+            lo = i = ws(text, i + 1).end()
+            if text[i:i + 1] != "]":
+                end = _LIST_END.search(text, lo)
+                if end is None:
+                    return None
+                i = end.start() + 1
+            fields[key], span = None, (lo, i)
+            i = ws(text, i).end() + 1   # past the list's closing bracket
+        i = ws(text, i).end()
+        if text[i:i + 1] == "}":
+            done = span is not None and ws(text, i + 1).end() == len(text)
+            return (fields, span) if done else None
+        if text[i:i + 1] != ",":
+            return None
+        i = ws(text, i + 1).end()
+    return None
+
+
+def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None:
+    """The rows in text[lo:hi] as an (m, k) array in the id dtype, decoded
+    one slice of rows at a time, each slice's lists freed before the
+    next; None unless every row is a list of k int ids in range(n)."""
+    dtype = _dtype_for(n)
+    parts = [np.empty((0, k), dtype=dtype)]
+    while lo < hi:
+        cut = _ROW_CUT.search(text, min(lo + _SLICE_CHARS, hi), hi)
+        stop = cut.start() + 1 if cut else hi
+        rows = json.loads("[" + text[lo:stop] + "]")
+        if not (set(map(type, rows)) <= {list}
+                and set(map(type, chain.from_iterable(rows))) <= {int}):
+            return None
+        arr = np.array(rows)
+        del rows
+        if not (arr.ndim == 2 and arr.shape[1] == k and arr.dtype.kind in "iu"
+                and int(arr.min()) >= 0 and int(arr.max()) < n):
+            return None
+        parts.append(arr.astype(dtype))
+        lo = cut.end() - 1 if cut else hi
+    return np.concatenate(parts)
+
+
+def _parse_sliced(text: str) -> Hypergraph | None:
+    """The document's hypergraph, with the edges decoded by slices; None
+    for any document outside the plain shape (which json.loads then
+    reads, raising today's errors in today's order)."""
+    if not isinstance(text, str):
+        return None
+    try:
+        walked = _walk_object(text)
+        if walked is None:
+            return None
+        fields, (lo, hi) = walked
+        k, n = fields.get("k"), fields.get("n")
+        if not (type(k) is int and type(n) is int):
+            return None
+        edges = _edge_rows(text, lo, hi, n, k)
+    except (ValueError, StopIteration, RecursionError):
+        return None
+    return None if edges is None else Hypergraph(n, k, edges)
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the JSON document format.
 
     Raises :class:`DocumentError` for structural problems,
     :class:`UniformityError` / :class:`VertexRangeError` /
     :class:`SimplicityError` for bad edges.  Duplicate edges in a document
-    are an error, never silently merged.
+    are an error, never silently merged.  A document longer than one
+    slice and of the plain shape (an object with int ``k`` and ``n`` and
+    rows of k int ids in range) has its edges decoded one slice of rows
+    at a time; any other goes through json.loads whole, which names its
+    first fault.
     """
+    H = _parse_sliced(text) if len(text) > _SLICE_CHARS else None
+    if H is not None:
+        return H
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

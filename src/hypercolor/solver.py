@@ -48,6 +48,7 @@ import numpy as np
 from .core import (
     Coloring,
     Hypergraph,
+    HypergraphError,
     SpectrumReport,
     is_complete,
     subset_rank,
@@ -59,6 +60,10 @@ _STATUSES = ("found", "none", "budget_exhausted")
 # is meant for instances with at most a few thousand edges
 _SUBSET_CAP = 500_000
 
+# the searches recurse once per vertex, so Python's default recursion
+# limit of 1,000 frames, less the callers' frames, caps the vertex count
+_MAX_SEARCH_VERTICES = 900
+
 
 class BudgetExhaustedError(RuntimeError):
     """A number-valued query ran out of nodes at ``t`` colors."""
@@ -66,6 +71,17 @@ class BudgetExhaustedError(RuntimeError):
     def __init__(self, message: str, t: int | None = None):
         super().__init__(message)
         self.t = t
+
+
+class VertexLimitError(HypergraphError):
+    """The hypergraph has more vertices than the exact searches take."""
+
+
+def _check_vertex_limit(n: int) -> None:
+    if n > _MAX_SEARCH_VERTICES:
+        raise VertexLimitError(
+            f"the exact search takes at most {_MAX_SEARCH_VERTICES} vertices, "
+            f"the hypergraph has {n}")
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -145,6 +161,7 @@ def _proper_search(n: int, m: int, k: int, masks, deg, t: int,
         return "found", [0] * n, 0
     if t < k:
         return "none", None, 0  # an edge needs k distinct colors
+    _check_vertex_limit(n)
 
     order = _search_order(deg, seed)
     cls = [0] * t
@@ -184,6 +201,7 @@ def exists_proper(H: Hypergraph, t: int, *,
 
     A thin wrapper around ``_proper_search``, the one proper-coloring
     DFS, which the split-search screens also call on slot-bit data.
+    Raises :class:`VertexLimitError` as ``exists_complete`` does.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -414,7 +432,9 @@ def exists_complete(H: Hypergraph, t: int, *,
     cover_prune switches the Hall bound (:class:`_Hall`): every
     uncovered subset needs its own open edge whose colors it contains
     and whose uncolored vertices can still take the colors it lacks.
-    Answers never depend on it, node counts do.
+    Answers never depend on it, node counts do.  Raises
+    :class:`VertexLimitError` when a search is needed on more than
+    ``_MAX_SEARCH_VERTICES`` vertices.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -425,6 +445,7 @@ def exists_complete(H: Hypergraph, t: int, *,
         return SolveResult("none", None, 0)
     if total > _SUBSET_CAP:
         raise ValueError(f"C({t},{H.k}) = {total} exceeds the exact-search cap")
+    _check_vertex_limit(H.n)
 
     k = H.k
     n = H.n

@@ -130,6 +130,17 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == "error: vertex id 70000 out of range for n=100\n"
 
+    @pytest.mark.parametrize("query", ["--chi", "--psi", "--spectrum", "--t=2"])
+    def test_past_the_vertex_limit_exit_1(self, capsys, tmp_path, query):
+        # the star K_{1,1499}: one line naming the limit, no traceback
+        f = tmp_path / "star.json"
+        f.write_text(json.dumps({"k": 2, "n": 1500,
+                                 "edges": [[0, v] for v in range(1, 1500)]}))
+        code, out, err = run(capsys, ["solve", str(f), query])
+        assert code == 1 and out == ""
+        assert err == ("error: the exact search takes at most 900 vertices, "
+                       "the hypergraph has 1500\n")
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, ["solve", "/does/not/exist", "--chi"])
         assert code == 1

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from hypercolor import (
 from hypercolor import complete_uniform, core, grid_transversal
 from hypercolor.core import subset_rank, subset_unrank
 
-from conftest import naive_is_complete, naive_is_proper, random_uniform_hypergraph
+from conftest import (
+    naive_is_complete,
+    naive_is_proper,
+    random_uniform_hypergraph,
+    traced_peak,
+)
 
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (1, 2), (0, 2)])
@@ -357,3 +363,247 @@ class TestIncidenceExport:
         assert "v0 [shape=circle];" in dot
         assert "e2 [shape=box];" in dot
         assert dot.count(" -- ") == 6
+
+
+def reference_parse(text):
+    """The document parser as one json.loads of the whole text: the
+    behaviour the sliced parser must reproduce, error for error."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DocumentError("top level must be a JSON object")
+    for key in ("k", "n"):
+        if key not in doc:
+            raise DocumentError(f"missing field {key!r}")
+        val = doc[key]
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise DocumentError(f"field {key!r} must be an integer, got {val!r}")
+    if "edges" not in doc:
+        raise DocumentError("missing field 'edges'")
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise DocumentError("field 'edges' must be a list")
+    for e in edges:
+        if not isinstance(e, list):
+            raise DocumentError(f"edge {e!r} must be a list")
+        for v in e:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise DocumentError(f"vertex id {v!r} must be an integer")
+    return Hypergraph(doc["n"], doc["k"], edges)
+
+
+def parse_outcome(parse, text):
+    """The hypergraph with its stored array, or the error's type and text."""
+    try:
+        H = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return H, H.edges.dtype, H.edges.shape, H.edges.tobytes()
+
+
+ROWS = [list(c) for c in itertools.combinations(range(7), 3)][:20]
+
+
+def plain(edges=ROWS, k=3, n=7):
+    return json.dumps({"k": k, "n": n, "edges": edges})
+
+
+PLAIN = plain()
+PARSE_CORPUS = [
+    # the documents of test_bad_documents and test_type_errors_name_the_first_bad_item
+    "not json", "[1,2,3]", '{"n": 3, "k": 2}',
+    '{"n": "three", "k": 2, "edges": []}', '{"n": 3, "k": 2, "edges": [[0, "x"]]}',
+    '{"n": 3, "k": 2, "edges": [[0, 1], 5]}', '{"n": 3, "k": 2, "edges": [[0, 1], [1, true]]}',
+    '{"n": 3, "k": 2, "edges": [[0, 1.0]]}', '{"n": 3, "k": 2, "edges": [[0, null], {}]}',
+    '{"n": 3, "k": 2, "edges": [{"a": 1}]}',
+    # plain documents: key orders, separators, pretty whitespace
+    PLAIN, json.dumps({"edges": ROWS, "n": 7, "k": 3}),
+    json.dumps({"n": 7, "edges": ROWS, "k": 3}, indent=2),
+    json.dumps({"k": 3, "edges": ROWS, "n": 7}, indent="\t"),
+    json.dumps({"k": 3, "n": 7, "edges": ROWS}, separators=(" ,\r\n ", " : ")),
+    " \n\t" + PLAIN + "\r\n ", plain([]), '{"k":3,"n":7,"edges":[ \n ]}',
+    plain([], n=0), plain([[0, 1]], k=2, n=2),
+    # repeated keys: the last one wins
+    '{"k":3,"n":7,"edges":[[0,1,2]],"edges":[[1,2,3],[0,1,3]]}',
+    '{"k":3,"n":7,"edges":[[0,1]],"edges":[[1,2,3]]}',
+    '{"k":2,"k":3,"n":7,"edges":[[0,1,2]]}', '{"k":3,"n":7,"n":2,"edges":[[0,1,2]]}',
+    '{"edges":[[0,"x"]],"edges":[[0,1]],"k":2,"n":3}',
+    '{"edges":[[0,1}]],"edges":[[0,1]],"k":2,"n":3}',
+    # "edges" inside strings, as an escaped key, and other fields around it
+    '{"note":"\\"edges\\": [[9, 9]]","k":2,"n":3,"edges":[[0,1]]}',
+    '{"k":2,"n":3,"edges":[[0,1]],"note":"],[ ]]"}',
+    '{"\\u0065dges":[[0,1]],"k":2,"n":3}', '{"edges":[[0,"],[1"],[1,2]],"k":2,"n":3}',
+    '{"k":2,"n":3,"edges":[[0,1]],"meta":{"edges":[[1,2]],"s":"]]"}}',
+    '{"k":2,"n":3,"edges":[[0,1]],"edges ":[[5]]}', '{"k":2,"n":3,"s":"\\ud800","edges":[]}',
+    '{"k":2,"n":3,"s":"a\tb","edges":[]}', '{"k\t":2,"k":2,"n":3,"edges":[]}',
+    # nested lists and rows that are not lists
+    '{"k":2,"n":3,"edges":[[0,[1]]]}', '{"k":2,"n":3,"edges":[[[0,1]]]}',
+    '{"k":2,"n":3,"edges":[[0,1],[[1,2]]]}', '{"k":2,"n":3,"edges":[[0,1]],[1,2]]}',
+    '{"k":2,"n":3,"edges":[0,1]}', '{"k":2,"n":3,"edges":[[0,1],"x"]}',
+    '{"k":2,"n":3,"edges":[[]]}', '{"k":2,"n":3,"edges":{}}',
+    '{"k":2,"n":3,"edges":"[[0,1]]"}', '{"k":2,"n":3,"edges":null}',
+    # floats, exponents, bools, null, non-finite numbers
+    plain([[0, 1]], k=2).replace("1]", "1e2]"), plain([[0, 1]], k=2).replace("1]", "1E0]"),
+    plain([[0, 1]], k=2).replace("1]", "1.0]"), plain([[0, 1]], k=2).replace("1]", "-0]"),
+    '{"k":2,"n":3,"edges":[[true,1]]}', '{"k":2,"n":3,"edges":[[0,false]]}',
+    '{"k":2,"n":3,"edges":[[0,NaN]]}', '{"k":2,"n":3,"edges":[[0,-Infinity]]}',
+    # ids beyond every dtype, negative and out of range
+    plain(ROWS + [[0, 1, 2 ** 63 - 1]]), plain(ROWS + [[0, 1, 2 ** 63]]),
+    plain(ROWS + [[0, 1, 2 ** 64]]), plain(ROWS + [[-1, 1, 2 ** 63]]),
+    plain(ROWS + [[-1, 0, 1]]), plain(ROWS + [[0, 1, 7]]),
+    plain([[0, 70000]], k=2, n=100), plain([[0, 2 ** 40]], k=2, n=2 ** 41),
+    # ragged rows, straddling slice boundaries at the small slice sizes
+    plain(ROWS[:9] + [[0, 1]] + ROWS[9:]), plain(ROWS + [[0, 1, 2, 3]]),
+    plain(ROWS[:5] + [[0, 1]] + ROWS[5:10] + [[0, 1, 2.5]]),
+    # repeated vertex, duplicate and unsorted rows
+    plain(ROWS + [[0, 1, 1]]), plain(ROWS + [ROWS[3]]), plain(ROWS[::-1]),
+    plain([[2, 1, 0], [3, 1, 0]]), plain([[0, 1], [1, 2]]), plain([[0, 1, 2, 3]], n=9),
+    # bad k and n
+    plain([], k=1), plain([], k=0), plain([], k=-1), plain([[0]], k=1),
+    plain([], n=-1), plain([[0, 1, 2]], n=-1), '{"k":true,"n":3,"edges":[]}',
+    '{"k":3,"n":2.5,"edges":[]}', '{"k":3,"n":1e400,"edges":[]}', '{"k":"3","n":3,"edges":[]}',
+    # trailing data, truncation, stray separators, whitespace JSON does not allow
+    PLAIN + " x", PLAIN + "{}", PLAIN[:-1], PLAIN[:-3], PLAIN[:40], "", "  ", "{", "{}",
+    '{"k":3,"n":7,"edges":[[0,1,2]],}', '{"k":3,"n":7,"edges":[[0,1,2],]}',
+    '{"k":3,"n":7,"edges":[[0,1,2]] "x":1}', '{"k":3 "n":7}', '{"k":3,,"n":7}',
+    '{"k";3,"n":7,"edges":[[0,1,2]]}', '{"k":3,"n":7,"edges";[[0,1,2]]}',
+    '{"k":3,"n":7,"edges":[[0,1,2]\x0c,[1,2,3]]}', '{"k":3,"n":7,"edges":[[0,1,2]\xa0]}',
+    '{"k":3,\x0c"n":7,"edges":[]}', '{"k":3,"n":7,"edges":[[0,1,2]\x0c]}',
+    '{"k":3,"n":7,"edges":[\x0b[0,1,2]]}', "\x0c" + PLAIN, PLAIN + "\x0c", PLAIN + "\xa0",
+    "﻿" + PLAIN, PLAIN.encode(),
+]
+
+
+class TestSlicedParse:
+    """The edges are decoded a slice of rows at a time; every document
+    must parse, or fail, exactly as one json.loads of the whole would."""
+
+    @pytest.mark.parametrize("chars", [1, 7, 16, 40, None])
+    def test_corpus_matches_reference(self, monkeypatch, chars):
+        if chars is not None:  # None: the module's own slice size
+            monkeypatch.setattr(core, "_SLICE_CHARS", chars)
+        for text in PARSE_CORPUS:
+            assert (parse_outcome(parse_hypergraph, text)
+                    == parse_outcome(reference_parse, text)), text
+
+    @pytest.mark.parametrize("chars", [1, 16, 100])
+    def test_plain_documents_take_the_slices(self, monkeypatch, chars):
+        monkeypatch.setattr(core, "_SLICE_CHARS", chars)
+        H = grid_transversal(3, 6)
+        for text in [serialize_hypergraph(H), serialize_hypergraph(H, pretty=True),
+                     json.dumps({"edges": H.edges.tolist(), "note": "x",
+                                 "n": H.n, "k": H.k}, indent="\t")]:
+            assert core._parse_sliced(text) == H
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_generated_documents_match_reference(self, data):
+        # plain documents, then at most one fault: a bad id, a row of
+        # another width, a bad k or n, a repeated key, or one character
+        # dropped or added next to a structural one
+        k = data.draw(st.integers(2, 3))
+        rows = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=k, max_size=k),
+                                  max_size=12))
+        fields = {"k": k, "n": 8, "edges": rows}
+        fault = data.draw(st.sampled_from(
+            ["", "id", "id", "width", "k", "n", "repeat", "drop", "insert", "insert"]))
+        if fault == "id" and rows:
+            row = data.draw(st.sampled_from(rows))
+            row[data.draw(st.integers(0, k - 1))] = data.draw(st.sampled_from(
+                [-1, 8, 70000, 2 ** 63, 2 ** 64, True, None, 1.5, "0", [0]]))
+        elif fault == "width" and rows:
+            data.draw(st.sampled_from(rows)).append(0)
+        elif fault in ("k", "n"):
+            fields[fault] = data.draw(st.sampled_from([1, -1, True, 2.0, "3"]))
+        if data.draw(st.booleans()):
+            fields["note"] = data.draw(st.sampled_from(['"edges": [[1]]', "],[", "]]"]))
+        keys = data.draw(st.permutations(sorted(fields)))
+        indent = data.draw(st.sampled_from([None, 0, 2, "\t"]))
+        text = json.dumps({key: fields[key] for key in keys}, indent=indent)
+        cut = data.draw(st.sampled_from(
+            [i for i, c in enumerate(text) if c in '{}[],:"'] + [len(text)] * 5))
+        if fault == "drop":
+            text = text[:cut] + text[cut + 1:]
+        elif fault == "insert":
+            text = text[:cut] + data.draw(st.sampled_from('{}[],:1"\x0c\t')) + text[cut:]
+        elif fault == "repeat":
+            key = data.draw(st.sampled_from(["k", "n", "edges"]))
+            value = data.draw(st.sampled_from([2, 8, [[0, 1]], [[0, "x"]]]))
+            text = f'{text[:-1]}, "{key}": {json.dumps(value)}}}'
+        chars = data.draw(st.sampled_from([1, 5, 13, 1 << 18]))
+        with mock.patch.object(core, "_SLICE_CHARS", chars):
+            got = parse_outcome(parse_hypergraph, text)
+        assert got == parse_outcome(reference_parse, text), text
+
+
+class TestChunkedOutput:
+    """Serialization, the conflict masks and the degrees work one chunk
+    of rows at a time; the results do not depend on where the chunks fall."""
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @pytest.mark.parametrize("H", [grid_transversal(4, 24), Hypergraph(4, 3, []),
+                                   Hypergraph(0, 2, [])],
+                             ids=["grid(4,24)", "m=0", "n=0"])
+    def test_serialize_bytes_match_one_dump(self, H, pretty):
+        assert serialize_hypergraph(H, pretty=pretty) == core.dump_json(
+            core.hypergraph_to_dict(H), pretty=pretty)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 20, 21])
+    def test_chunk_boundaries(self, monkeypatch, rows):
+        # 20 edges: chunks of one row, of a few rows, one exact chunk, one chunk
+        H = complete_uniform(6, 3)
+        want = [core.dump_json(core.hypergraph_to_dict(H), pretty=p)
+                for p in (False, True)]
+        masks, degrees = H.conflict_masks(), H.degrees()
+        monkeypatch.setattr(core, "_CHUNK_ROWS", rows)
+        H = complete_uniform(6, 3)
+        assert [serialize_hypergraph(H, pretty=p) for p in (False, True)] == want
+        assert H.conflict_masks() == masks
+        assert np.array_equal(H.degrees(), degrees)
+
+    def test_conflict_masks_across_chunks(self, monkeypatch, rng):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
+        for _ in range(30):
+            k = rng.randint(2, 4)
+            n = rng.randint(k, 10)
+            H = random_uniform_hypergraph(rng, n, k, rng.randint(0, 3 * n))
+            want = [0] * n
+            for e in H.edge_tuples():
+                for a in e:
+                    for b in e:
+                        if a != b:
+                            want[a] |= 1 << b
+            assert H.conflict_masks() == tuple(want)
+
+
+class TestBoundedMemory:
+    """Transients on the grid(4,24) document (240,051 edges, a 1.9 MB
+    edge array) stay within one slice of rows; one Python list per edge
+    took 30-40 MB."""
+
+    LIMIT = 16_000_000
+
+    @pytest.fixture(scope="class")
+    def grid_doc(self):
+        H = grid_transversal(4, 24)
+        return H, serialize_hypergraph(H)
+
+    def test_parse(self, grid_doc):
+        H, text = grid_doc
+        got, peak = traced_peak(lambda: parse_hypergraph(text))
+        assert got == H
+        assert peak <= self.LIMIT
+
+    def test_serialize(self, grid_doc):
+        H, text = grid_doc
+        got, peak = traced_peak(lambda: serialize_hypergraph(H))
+        assert got == text
+        assert peak <= self.LIMIT
+
+    def test_conflict_masks(self, grid_doc):
+        H = Hypergraph(grid_doc[0].n, grid_doc[0].k, grid_doc[0].edges)
+        masks, peak = traced_peak(H.conflict_masks)
+        assert len(masks) == H.n
+        assert peak <= self.LIMIT

@@ -704,3 +704,42 @@ def test_brute_force_decodes_column_wise():
 def test_removed_keywords_raise(call):
     with pytest.raises(TypeError):
         call(complete_uniform(5, 3))
+
+
+class TestVertexLimit:
+    """The searches recurse once per vertex; past the limit they refuse
+    with a typed error before any node, instead of a RecursionError."""
+
+    @staticmethod
+    def star(n):
+        return Hypergraph(n, 2, [(0, v) for v in range(1, n)])
+
+    @pytest.mark.parametrize("query", [
+        lambda H: exists_proper(H, 2),
+        lambda H: exists_complete(H, 2),
+        lambda H: chromatic_number(H),
+        lambda H: achromatic_number(H),
+        lambda H: spectrum(H),
+    ], ids=["exists_proper", "exists_complete", "chi", "psi", "spectrum"])
+    def test_star_past_the_limit_raises(self, query):
+        with pytest.raises(hypercolor.VertexLimitError) as exc:
+            query(self.star(1500))
+        assert str(exc.value) == ("the exact search takes at most 900 "
+                                  "vertices, the hypergraph has 1500")
+        assert isinstance(exc.value, hypercolor.HypergraphError)
+
+    def test_star_at_the_limit_is_searched(self):
+        H = self.star(solver._MAX_SEARCH_VERTICES)
+        proper = exists_proper(H, 2)
+        complete = exists_complete(H, 2)
+        assert proper.status == complete.status == "found"
+        assert is_proper(H, proper.witness) and is_complete(H, complete.witness)
+        with pytest.raises(hypercolor.VertexLimitError):
+            exists_proper(self.star(solver._MAX_SEARCH_VERTICES + 1), 2)
+
+    def test_quick_answers_need_no_search(self):
+        # refuted or settled before any search, whatever n is
+        H = self.star(1500)
+        assert exists_complete(H, 1).status == "none"  # t < k
+        assert exists_proper(H, 1).status == "none"
+        assert chromatic_number(Hypergraph(1500, 2, [])) == 1
