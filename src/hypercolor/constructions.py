@@ -15,7 +15,6 @@ Three families and one primitive:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (Coloring, DocumentError, Hypergraph, _chunks, _dtype_for,
-                   dump_json)
+                   dump_json, load_json)
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
@@ -249,10 +248,7 @@ class SplitPattern:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitPattern":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"not valid JSON: {exc}") from exc
+        doc = load_json(text)
         if not isinstance(doc, dict):
             raise DocumentError("pattern document must be a JSON object")
         for key in ("base_m", "split", "lifts"):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -111,8 +112,10 @@ class Hypergraph:
     def __init__(self, n: int, k: int,
                  edges: Iterable[Sequence[int]] | np.ndarray,
                  *, dedup: bool = False):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise DocumentError(f"vertex count must be a non-negative int, got {n!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < 2 ** 63:
+            # ids are stored in at most int64
+            raise DocumentError(
+                f"vertex count must be a non-negative int below 2**63, got {n!r}")
         if not isinstance(k, int) or isinstance(k, bool) or k < 2:
             raise DocumentError(f"edge size must be an int >= 2, got {k!r}")
         arr = self._coerce(n, k, edges)
@@ -163,10 +166,15 @@ class Hypergraph:
                 arr = np.empty(0)
             if not (arr.ndim == 2 and arr.shape[1] == k
                     and np.issubdtype(arr.dtype, np.integer)):
-                # per-row loop: int() each id, name the first bad row
+                # per-row loop: take each id as an exact int, name the first
+                # bad row
                 rows = []
                 for e in edges:
-                    row = [int(v) for v in e]
+                    try:
+                        row = [operator.index(v) for v in e]
+                    except TypeError:
+                        raise DocumentError(
+                            f"edge {e!r} must hold integer vertex ids") from None
                     if len(row) != k:
                         raise UniformityError(
                             f"edge {row} has {len(row)} vertices, expected {k}")
@@ -285,7 +293,10 @@ class Coloring:
     def __post_init__(self):
         if not isinstance(self.t, int) or self.t < 0:
             raise ValueError(f"color count must be a non-negative int, got {self.t!r}")
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        try:
+            object.__setattr__(self, "colors", tuple(map(operator.index, self.colors)))
+        except TypeError:
+            raise ValueError(f"colors must be integers, got {self.colors!r}") from None
         for c in self.colors:
             if c < 0 or c >= self.t:
                 raise ValueError(f"color {c} out of range for t={self.t}")
@@ -317,7 +328,9 @@ def _as_color_array(H: Hypergraph, coloring) -> tuple[np.ndarray, int]:
         arr = coloring.as_array()
         t = coloring.t
     else:
-        arr = np.asarray(list(coloring), dtype=np.int32)
+        arr = np.asarray(list(coloring))
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError("colors must be integers")
         if arr.size and int(arr.min()) < 0:
             raise ValueError("colors must be non-negative")
         t = int(arr.max()) + 1 if arr.size else 0
@@ -491,12 +504,12 @@ _INCIDENCE_CAP = 100_000
 def incidence_graph(H: Hypergraph) -> IncidenceGraph:
     """Vertex-edge incidence graph, with deterministic DOT export.
 
-    Refuses instances beyond ~100k edges; a DOT document at that scale
-    serves no reader.
+    Refuses instances beyond ~100k vertices or edges; a DOT document at
+    that scale serves no reader.
     """
-    if H.m > _INCIDENCE_CAP:
-        raise ValueError(f"incidence graph capped at {_INCIDENCE_CAP} edges, "
-                         f"instance has {H.m}")
+    if max(H.n, H.m) > _INCIDENCE_CAP:
+        raise ValueError(f"incidence graph capped at {_INCIDENCE_CAP} vertices "
+                         f"and edges, instance has n={H.n}, m={H.m}")
     pairs = []
     for j, row in enumerate(H.edge_tuples()):
         for v in row:
@@ -550,55 +563,33 @@ def _require_int(doc: dict, key: str) -> int:
     return val
 
 
-# JSON whitespace as the json module reads it; the end of one row and the
-# start of the next; the end of the last row and of the list around it
-_WS = re.compile(r"[ \t\n\r]*")
+# the head of a document in the layout serialize_hypergraph writes,
+# compact or indented, with k and n plain non-negative integers; the end
+# of one row and the start of the next; the close of the rows and the doc
+_HEAD = re.compile(r'\s*\{\s*"k"\s*:\s*(0|[1-9][0-9]*)\s*,\s*"n"\s*:\s*'
+                   r'(0|[1-9][0-9]*)\s*,\s*"edges"\s*:\s*\[\s*'
+                   .replace(r"\s", "[ \t\n\r]"))
 _ROW_CUT = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
-_LIST_END = re.compile(r"\][ \t\n\r]*\]")
+_TAIL = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*\Z")
 # characters of edge rows decoded to Python lists at once
 _SLICE_CHARS = 1 << 18
 
 
-def _walk_object(text: str):
-    """The fields of a top-level JSON object other than ``edges``, and
-    the span of text between the brackets of ``edges``, which is only
-    located: its rows are decoded by ``_edge_rows``.  None for a
-    document the walk does not take (not an object, a repeated key, no
-    list in ``edges``, trailing data); json.loads then reads it."""
-    ws = _WS.match
-    scan = json.JSONDecoder().scan_once
-    fields, span = {}, None
-    i = ws(text).end()
-    if text[i:i + 1] != "{":
-        return None
-    i = ws(text, i + 1).end()
-    while text[i:i + 1] == '"':
-        key, i = json.decoder.scanstring(text, i + 1)
-        i = ws(text, i).end()
-        if text[i:i + 1] != ":" or key in fields:
-            return None
-        i = ws(text, i + 1).end()
-        if key != "edges":
-            fields[key], i = scan(text, i)
-        elif text[i:i + 1] != "[":
-            return None
-        else:
-            lo = i = ws(text, i + 1).end()
-            if text[i:i + 1] != "]":
-                end = _LIST_END.search(text, lo)
-                if end is None:
-                    return None
-                i = end.start() + 1
-            fields[key], span = None, (lo, i)
-            i = ws(text, i).end() + 1   # past the list's closing bracket
-        i = ws(text, i).end()
-        if text[i:i + 1] == "}":
-            done = span is not None and ws(text, i + 1).end() == len(text)
-            return (fields, span) if done else None
-        if text[i:i + 1] != ",":
-            return None
-        i = ws(text, i + 1).end()
-    return None
+def load_json(text: str):
+    """The value of a JSON document; DocumentError when it is malformed or
+    nested too deeply to decode."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
+
+
+def _int_rows(rows: list) -> bool:
+    """Whether every item is a list of ints, screened at C speed."""
+    return (set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int})
 
 
 def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None:
@@ -611,8 +602,7 @@ def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None
         cut = _ROW_CUT.search(text, min(lo + _SLICE_CHARS, hi), hi)
         stop = cut.start() + 1 if cut else hi
         rows = json.loads("[" + text[lo:stop] + "]")
-        if not (set(map(type, rows)) <= {list}
-                and set(map(type, chain.from_iterable(rows))) <= {int}):
+        if not _int_rows(rows):
             return None
         arr = np.array(rows)
         del rows
@@ -625,21 +615,17 @@ def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None
 
 
 def _parse_sliced(text: str) -> Hypergraph | None:
-    """The document's hypergraph, with the edges decoded by slices; None
-    for any document outside the plain shape (which json.loads then
-    reads, raising today's errors in today's order)."""
-    if not isinstance(text, str):
+    """The hypergraph of a document in the layout serialize_hypergraph
+    writes, its rows decoded by slices; None for any other document and
+    any the slices refuse (json.loads then reads it whole)."""
+    head = _HEAD.match(text) if isinstance(text, str) else None
+    hi = text.rfind("]") if head else -1
+    if hi < 0 or not _TAIL.match(text, hi):
         return None
     try:
-        walked = _walk_object(text)
-        if walked is None:
-            return None
-        fields, (lo, hi) = walked
-        k, n = fields.get("k"), fields.get("n")
-        if not (type(k) is int and type(n) is int):
-            return None
-        edges = _edge_rows(text, lo, hi, n, k)
-    except (ValueError, StopIteration, RecursionError):
+        k, n = int(head[1]), int(head[2])
+        edges = _edge_rows(text, head.end(), hi, n, k)
+    except (ValueError, RecursionError):
         return None
     return None if edges is None else Hypergraph(n, k, edges)
 
@@ -650,19 +636,16 @@ def parse_hypergraph(text: str) -> Hypergraph:
     Raises :class:`DocumentError` for structural problems,
     :class:`UniformityError` / :class:`VertexRangeError` /
     :class:`SimplicityError` for bad edges.  Duplicate edges in a document
-    are an error, never silently merged.  A document longer than one
-    slice and of the plain shape (an object with int ``k`` and ``n`` and
-    rows of k int ids in range) has its edges decoded one slice of rows
-    at a time; any other goes through json.loads whole, which names its
+    are an error, never silently merged.  A document in the layout
+    :func:`serialize_hypergraph` writes (keys ``k``, ``n``, ``edges`` in
+    that order, JSON whitespace only) has its rows decoded one slice at
+    a time; any other goes through json.loads whole, which names its
     first fault.
     """
-    H = _parse_sliced(text) if len(text) > _SLICE_CHARS else None
+    H = _parse_sliced(text)
     if H is not None:
         return H
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be a JSON object")
     k = _require_int(doc, "k")
@@ -672,9 +655,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise DocumentError("field 'edges' must be a list")
-    # screen the types at C speed; walk the items only to name a bad one
-    if not (set(map(type, edges)) <= {list}
-            and set(map(type, chain.from_iterable(edges))) <= {int}):
+    if not _int_rows(edges):  # walk the items only to name a bad one
         for e in edges:
             if not isinstance(e, list):
                 raise DocumentError(f"edge {e!r} must be a list")

@@ -571,12 +571,14 @@ def chromatic_number(H: Hypergraph, *,
 
     0 for the empty hypergraph, 1 for edgeless with vertices.  Raises
     :class:`BudgetExhaustedError` if any single existence query runs out
-    of nodes.
+    of nodes, and :class:`VertexLimitError` before any per-vertex work
+    when a search is needed.
     """
     if H.n == 0:
         return 0
     if H.m == 0:
         return 1
+    _check_vertex_limit(H.n)
     t = max(H.k, _clique_lower_bound(H))
     while True:
         res = exists_proper(H, t, budget=budget, seed=seed)
@@ -614,11 +616,13 @@ def spectrum(H: Hypergraph, *,
     every feasible one, as it could then be the achromatic number.
     """
     warnings = []
-    iso = H.isolated_vertices()
     if H.m == 0:
         warnings.append("hypergraph has no edges; no complete coloring by convention")
-    elif iso:
-        warnings.append(f"{len(iso)} isolated vertices")
+    else:  # it searches: refuse past the vertex limit before counting
+        _check_vertex_limit(H.n)
+        iso = int(np.count_nonzero(H.degrees() == 0))
+        if iso:
+            warnings.append(f"{iso} isolated vertices")
 
     try:
         chi = lo = chromatic_number(H, budget=budget, seed=seed)

@@ -51,6 +51,13 @@ class TestGen:
         assert code == 1
         assert "error:" in err
 
+    def test_deeply_nested_pattern_exit_1(self, capsys, tmp_path):
+        f = tmp_path / "pat.json"
+        f.write_text('{"base_m":4,"split":[0],"lifts":' + "[" * 100_000)
+        code, out, err = run(capsys, ["gen", "split-lift", "--pattern", str(f)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: not valid JSON") and err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "h.json"
         code, out, _ = run(capsys, ["gen", "regular15", "--out", str(dest)])
@@ -140,6 +147,30 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == ("error: the exact search takes at most 900 vertices, "
                        "the hypergraph has 1500\n")
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"k":2,"n":9223372036854775807,"edges":[[0,1]]}',
+         "the exact search takes at most 900 vertices, "
+         "the hypergraph has 9223372036854775807"),
+        ('{"k":2,"n":18446744073709551616,"edges":[[0,1]]}',
+         "vertex count must be a non-negative int below 2**63, "
+         "got 18446744073709551616"),
+        ('{"k":2,"n":3,"edges":' + "[" * 100_000 + "]" * 100_000 + "}",
+         "not valid JSON: nested too deeply"),
+    ], ids=["n=2**63-1", "n=2**64", "nested"])
+    @pytest.mark.parametrize("query", ["--chi", "--spectrum"])
+    def test_hostile_documents_exit_1(self, capsys, monkeypatch, doc, message, query):
+        code, out, err = run(capsys, ["solve", "-", query],
+                             stdin=doc, monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_edgeless_spectrum_of_a_huge_vertex_count(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["solve", "-", "--spectrum"],
+                           stdin='{"k":2,"n":1000000000000,"edges":[]}',
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["chi"] == 1 and json.loads(out)["psi"] == 0
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, ["solve", "/does/not/exist", "--chi"])
@@ -273,6 +304,14 @@ class TestExport:
         assert code == 0
         assert out.startswith("graph incidence {")
         assert out.rstrip().endswith("}")
+
+    def test_dot_caps_vertices(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["export", "dot", "-"],
+                             stdin='{"k":2,"n":3000000,"edges":[]}',
+                             monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert err == ("error: incidence graph capped at 100000 vertices and "
+                       "edges, instance has n=3000000, m=0\n")
 
 
 # sha256 of documents the CLI writes, compact and --pretty; a digest that

@@ -270,6 +270,11 @@ class TestSplitLift:
         with pytest.raises(DocumentError):
             SplitPattern.from_json("[]")
 
+    def test_deeply_nested_pattern_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            SplitPattern.from_json('{"base_m":4,"split":[0],"lifts":'
+                                   + "[" * 100_000 + "]" * 100_000 + "}")
+
     def test_all_zero_lift_of_unsplit_pattern_is_base(self):
         p = SplitPattern(5, (), tuple(() for _ in range(10)))
         H = split_lift(p)

@@ -87,6 +87,22 @@ class TestHypergraphConstruction:
         with pytest.raises(VertexRangeError, match="out of range for n=100"):
             Hypergraph(100, 2, edges)
 
+    def test_vertex_count_beyond_int64_rejected(self):
+        # the ids of n = 2**64 would wrap to negative int64 values
+        with pytest.raises(DocumentError, match="below 2\\*\\*63, got 18446744073709551616"):
+            Hypergraph(2 ** 64, 2, [[0, 2 ** 63]])
+        for text in ['{"k":2,"n":18446744073709551616,"edges":[[0,9223372036854775808]]}',
+                     '{"n":18446744073709551616,"k":2,"edges":[[0,1]]}']:
+            with pytest.raises(DocumentError, match="below 2\\*\\*63"):
+                parse_hypergraph(text)
+        assert Hypergraph(2 ** 63 - 1, 2, [[0, 2 ** 63 - 2]]).edges.dtype == np.int64
+
+    @pytest.mark.parametrize("edges", [[[0, 1.5]], [[0, 1.0]], [["0", "2"]],
+                                       [[0, 1], [np.float64(1), 2]], [[0, None]]])
+    def test_non_integer_ids_rejected(self, edges):
+        with pytest.raises(DocumentError, match="must hold integer vertex ids"):
+            Hypergraph(3, 2, edges)
+
     def test_empty_edge_set_allowed(self):
         H = Hypergraph(4, 2, [])
         assert H.m == 0 and H.edges.shape == (0, 2)
@@ -262,6 +278,22 @@ class TestPredicates:
             assert (is_complete(G, Coloring(tuple(colors), t))
                     == naive_is_complete(G, colors, t))
 
+    @pytest.mark.parametrize("colors", [[0.9, 1.2, 2.7], ["0", "1", "2"],
+                                        [0, 1, 2.0], np.array([0.0, 1.0, 2.0])])
+    def test_non_integer_colors_rejected(self, colors):
+        with pytest.raises(ValueError, match="colors must be integers"):
+            is_complete(TRIANGLE, colors)
+        with pytest.raises(ValueError, match="colors must be integers"):
+            is_proper(TRIANGLE, colors)
+        with pytest.raises(ValueError, match="colors must be integers"):
+            Coloring(tuple(colors), 3)
+
+    def test_numpy_int_colors_accepted(self):
+        assert is_complete(TRIANGLE, np.array([0, 1, 2], dtype=np.uint8))
+        assert is_complete(TRIANGLE, [np.int64(2), np.int32(1), 0])
+        assert Coloring((np.int64(0), np.int8(1), 2), 3).colors == (0, 1, 2)
+        assert type(Coloring((np.int64(0),), 1).colors[0]) is int
+
     def test_coloring_class_sizes(self):
         c = Coloring((0, 1, 0, 2), 3)
         assert c.class_sizes() == [2, 1, 1]
@@ -315,6 +347,15 @@ class TestSerialization:
         with pytest.raises(DocumentError):
             parse_hypergraph(bad)
 
+    @pytest.mark.parametrize("text", [
+        '{"k":2,"n":3,"edges":' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"k":2,"n":3,"edges":' + "[" * 100_000,
+        '{"edges":' + "[" * 100_000 + "]" * 100_000 + ',"k":2,"n":3}',
+    ], ids=["written layout", "unclosed", "other layout"])
+    def test_deep_nesting_is_a_document_error(self, text):
+        with pytest.raises(DocumentError, match="^not valid JSON"):
+            parse_hypergraph(text)
+
     def test_vertex_errors_pass_through(self):
         with pytest.raises(VertexRangeError):
             parse_hypergraph('{"n": 2, "k": 2, "edges": [[0, 5]]}')
@@ -357,6 +398,12 @@ class TestSpectrumReport:
 
 
 class TestIncidenceExport:
+    @pytest.mark.parametrize("H", [Hypergraph(100_001, 2, []), Hypergraph(10 ** 12, 2, []),
+                                   complete_uniform(448, 2)], ids=["n", "huge n", "m"])
+    def test_capped_in_vertices_and_edges(self, H):
+        with pytest.raises(ValueError, match="capped at 100000 vertices and edges"):
+            incidence_graph(H)
+
     def test_dot_output(self):
         dot = incidence_graph(TRIANGLE).to_dot()
         assert dot.startswith("graph incidence {")
@@ -473,6 +520,18 @@ PARSE_CORPUS = [
     '{"k":3,\x0c"n":7,"edges":[]}', '{"k":3,"n":7,"edges":[[0,1,2]\x0c]}',
     '{"k":3,"n":7,"edges":[\x0b[0,1,2]]}', "\x0c" + PLAIN, PLAIN + "\x0c", PLAIN + "\xa0",
     "﻿" + PLAIN, PLAIN.encode(),
+    # near misses of the written layout: a field after edges whose value
+    # ends in "]", "]" in a trailing string, k and n that are not plain
+    # non-negative integers, an empty edges list with whitespace inside,
+    # junk after the closing brace
+    '{"k":2,"n":3,"edges":[[0,1]],"x":[1]}', '{"k":2,"n":3,"edges":[[0,1],[1,2]],"x":[[2]]}',
+    '{"k":2,"n":3,"edges":[[0,1]],"s":"]"}', '{"k":2,"n":3,"edges":[[0,1]],"s":"]}"}',
+    '{"k":03,"n":7,"edges":[[0,1,2]]}', '{"k":3,"n":07,"edges":[[0,1,2]]}',
+    '{"k":3.0,"n":7,"edges":[[0,1,2]]}', '{"k":3,"n":7e0,"edges":[[0,1,2]]}',
+    '{"k":\u0663,"n":7,"edges":[[0,1,2]]}', '{"k":+3,"n":7,"edges":[[0,1,2]]}',
+    '{"k":3,"n":-0,"edges":[]}', '{"k":3,"n":-7,"edges":[[0,1,2]]}',
+    '{"k":3,"n":7,"edges":[ \t\r\n]\n}\n', PLAIN + "}", PLAIN + "]", PLAIN + " ]}",
+    serialize_hypergraph(K4_3) + "x", serialize_hypergraph(K4_3, pretty=True) + "}",
 ]
 
 
@@ -492,10 +551,13 @@ class TestSlicedParse:
     def test_plain_documents_take_the_slices(self, monkeypatch, chars):
         monkeypatch.setattr(core, "_SLICE_CHARS", chars)
         H = grid_transversal(3, 6)
-        for text in [serialize_hypergraph(H), serialize_hypergraph(H, pretty=True),
-                     json.dumps({"edges": H.edges.tolist(), "note": "x",
-                                 "n": H.n, "k": H.k}, indent="\t")]:
+        for text in [serialize_hypergraph(H), serialize_hypergraph(H, pretty=True)]:
             assert core._parse_sliced(text) == H
+        # another layout is read whole, to the same hypergraph
+        text = json.dumps({"edges": H.edges.tolist(), "note": "x",
+                           "n": H.n, "k": H.k}, indent="\t")
+        assert core._parse_sliced(text) is None
+        assert parse_hypergraph(text) == H
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
@@ -591,10 +653,11 @@ class TestBoundedMemory:
         return H, serialize_hypergraph(H)
 
     def test_parse(self, grid_doc):
-        H, text = grid_doc
-        got, peak = traced_peak(lambda: parse_hypergraph(text))
-        assert got == H
-        assert peak <= self.LIMIT
+        H, compact = grid_doc
+        for text in [compact, serialize_hypergraph(H, pretty=True)]:
+            got, peak = traced_peak(lambda: parse_hypergraph(text))
+            assert got == H
+            assert peak <= self.LIMIT
 
     def test_serialize(self, grid_doc):
         H, text = grid_doc

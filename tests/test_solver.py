@@ -570,7 +570,7 @@ class TestSpectrum:
         rep = spectrum(Hypergraph(3, 2, []))
         assert any("no edges" in w for w in rep.warnings)
         rep2 = spectrum(Hypergraph(4, 2, [(0, 1)]))
-        assert any("isolated" in w for w in rep2.warnings)
+        assert rep2.warnings == ("2 isolated vertices",)
 
     def test_budget_marks_unknown(self):
         H = complete_uniform(7, 3)
@@ -743,3 +743,25 @@ class TestVertexLimit:
         assert exists_complete(H, 1).status == "none"  # t < k
         assert exists_proper(H, 1).status == "none"
         assert chromatic_number(Hypergraph(1500, 2, [])) == 1
+
+    @pytest.fixture
+    def no_per_vertex_work(self, monkeypatch):
+        # huge vertex counts: any call here would allocate in proportion to n
+        def refuse(self):
+            raise AssertionError("per-vertex work on a hostile vertex count")
+        monkeypatch.setattr(Hypergraph, "degrees", refuse)
+        monkeypatch.setattr(Hypergraph, "conflict_masks", refuse)
+
+    @pytest.mark.parametrize("n", [30_000_000, 2 ** 63 - 1])
+    @pytest.mark.parametrize("query", [chromatic_number, spectrum],
+                             ids=["chi", "spectrum"])
+    def test_hostile_vertex_count_refused_first(self, no_per_vertex_work, query, n):
+        with pytest.raises(hypercolor.VertexLimitError,
+                           match=f"the hypergraph has {n}$"):
+            query(Hypergraph(n, 2, [[0, 1]]))
+
+    def test_edgeless_spectrum_needs_no_vertex_pass(self, no_per_vertex_work):
+        rep = spectrum(Hypergraph(10 ** 12, 2, []))
+        assert (rep.chi, rep.psi, rep.feasible, rep.unknown) == (1, 0, (), ())
+        assert rep.warnings == ("hypergraph has no edges; no complete "
+                                "coloring by convention",)
