@@ -532,24 +532,47 @@ def hypergraph_to_dict(H: Hypergraph) -> dict:
     return {"k": H.k, "n": H.n, "edges": H.edges.tolist()}
 
 
+# the text before, between and after the ids of one edge row as dump_json
+# writes it in the document, compact and indented
+_ROW_LAYOUT = {False: ("[", ",", "]"),
+               True: ("\n    [\n      ", ",\n      ", "\n    ]")}
+
+
+def _rows_text(E: np.ndarray, pretty: bool) -> str:
+    """The rows of E as dump_json writes them, each followed by a comma: a
+    row's byte template with id slots as wide as E's largest id, tiled,
+    filled by integer division, less the slots left of each id's digits."""
+    rows, k = E.shape
+    width = len(str(int(E.max())))
+    opener, sep, closer = _ROW_LAYOUT[pretty]
+    row = (opener + sep.join(["0" * width] * k) + closer + ",").encode()
+    buf = np.empty((rows, len(row)), dtype=np.uint8)
+    buf[:] = np.frombuffer(row, dtype=np.uint8)
+    keep = np.ones(buf.shape, dtype=bool)
+    for i in range(k):
+        at = len(opener) + i * (width + len(sep))
+        ids = E[:, i]
+        for j in range(width - 1):  # slot j is kept if the id has its digit
+            keep[:, at + j] = ids >= 10 ** (width - 1 - j)
+        for j in range(width - 1, -1, -1):
+            ids, digit = np.divmod(ids, 10)
+            buf[:, at + j] = 48 + digit  # the byte of the digit
+    return buf[keep].tobytes().decode("ascii")
+
+
 def serialize_hypergraph(H: Hypergraph, *, pretty: bool = False) -> str:
     """Canonical JSON text.  Equal hypergraphs serialize byte-identically.
 
-    The bytes of ``dump_json(hypergraph_to_dict(H))``, with the edge
-    rows encoded one chunk at a time, so no list of every row is built.
+    The bytes of ``dump_json(hypergraph_to_dict(H), pretty=pretty)``; the
+    rows are written as numpy bytes a chunk at a time, no object per id.
     """
     head, tail = dump_json({"k": H.k, "n": H.n, "edges": []},
                            pretty=pretty).rsplit("[]", 1)
     pieces = [head, "["]
     for sl in _chunks(H.m):
-        rows = H.edges[sl].tolist()
-        if sl.start:
-            pieces.append(",")
-        if pretty:  # the rows of an indent=2 list, one level deeper
-            pieces.append(json.dumps(rows, indent=2)[1:-2].replace("\n", "\n  "))
-        else:
-            pieces.append(json.dumps(rows, separators=(",", ":"))[1:-1])
-        del rows
+        pieces.append(_rows_text(H.edges[sl], pretty))
+    if H.m:
+        pieces[-1] = pieces[-1][:-1]  # no comma after the last row
     pieces += ["\n  ]" if pretty and H.m else "]", tail]
     return "".join(pieces)
 
@@ -571,8 +594,13 @@ _HEAD = re.compile(r'\s*\{\s*"k"\s*:\s*(0|[1-9][0-9]*)\s*,\s*"n"\s*:\s*'
                    .replace(r"\s", "[ \t\n\r]"))
 _ROW_CUT = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 _TAIL = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*\Z")
-# characters of edge rows decoded to Python lists at once
+# characters of edge rows decoded at once
 _SLICE_CHARS = 1 << 18
+# byte classes in edge rows; 0 for any byte a row of ids cannot hold
+_DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE = 1, 2, 3, 4, 5
+_BYTE_CLASS = np.zeros(256, dtype=np.int8)
+_BYTE_CLASS[list(b"0123456789[], \t\n\r")] = (
+    [_DIGIT] * 10 + [_OPEN, _CLOSE, _COMMA] + [_SPACE] * 4)
 
 
 def load_json(text: str):
@@ -592,24 +620,53 @@ def _int_rows(rows: list) -> bool:
             and set(map(type, chain.from_iterable(rows))) <= {int})
 
 
+def _slice_ids(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
+    """The ids of the rows in the ASCII bytes b, in order, as uint64; None
+    unless b is rows of k ids in range(n), comma-separated, with JSON
+    whitespace between tokens only."""
+    c = _BYTE_CLASS.take(b)
+    if not c.all():
+        return None
+    digit = c == _DIGIT
+    first = digit.copy()  # the first byte of each run of digits
+    first[1:] &= ~digit[:-1]
+    kinds = c[(c != _SPACE) & (first | ~digit)]  # one per token
+    span = 2 * k + 2  # [ N (, N)*(k-1) ] ,
+    if (kinds.size + 1) % span:
+        return None
+    row = [_OPEN] + [_DIGIT, _COMMA] * (k - 1) + [_DIGIT, _CLOSE, _COMMA]
+    if not np.array_equal(kinds, np.tile(np.array(row, dtype=np.int8),
+                                         (kinds.size + 1) // span)[:-1]):
+        return None
+    # the last byte of b is no digit: a row's ] or whitespace
+    lo, hi = np.flatnonzero(first), np.flatnonzero(digit[:-1] & ~digit[1:])
+    size = hi - lo + 1
+    # JSON has no leading zeros; more digits than n - 1 is out of range
+    if size.max() > len(str(n - 1)) or (b[lo[size > 1]] == 48).any():
+        return None
+    ids = (b[lo] - 48).astype(np.uint64)
+    for j in range(1, int(size.max())):
+        at = lo + j
+        ids = np.where(at <= hi, ids * 10 + (b[np.minimum(at, hi)] - 48), ids)
+    return None if ids.max() >= n else ids
+
+
 def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None:
     """The rows in text[lo:hi] as an (m, k) array in the id dtype, decoded
-    one slice of rows at a time, each slice's lists freed before the
-    next; None unless every row is a list of k int ids in range(n)."""
+    from the bytes of one slice of rows at a time with no Python object
+    per row or id; None unless every row is a list of k int ids in range(n)."""
+    if n >= 2 ** 63:  # past uint64 ids; Hypergraph refuses such an n anyway
+        return None
     dtype = _dtype_for(n)
     parts = [np.empty((0, k), dtype=dtype)]
     while lo < hi:
         cut = _ROW_CUT.search(text, min(lo + _SLICE_CHARS, hi), hi)
         stop = cut.start() + 1 if cut else hi
-        rows = json.loads("[" + text[lo:stop] + "]")
-        if not _int_rows(rows):
+        b = np.frombuffer(text[lo:stop].encode("ascii", "replace"), dtype=np.uint8)
+        ids = _slice_ids(b, n, k)
+        if ids is None:
             return None
-        arr = np.array(rows)
-        del rows
-        if not (arr.ndim == 2 and arr.shape[1] == k and arr.dtype.kind in "iu"
-                and int(arr.min()) >= 0 and int(arr.max()) < n):
-            return None
-        parts.append(arr.astype(dtype))
+        parts.append(ids.astype(dtype).reshape(-1, k))
         lo = cut.end() - 1 if cut else hi
     return np.concatenate(parts)
 
@@ -622,10 +679,10 @@ def _parse_sliced(text: str) -> Hypergraph | None:
     hi = text.rfind("]") if head else -1
     if hi < 0 or not _TAIL.match(text, hi):
         return None
-    try:
+    try:  # ValueError: k or n past int()'s digits or numpy's dimensions
         k, n = int(head[1]), int(head[2])
         edges = _edge_rows(text, head.end(), hi, n, k)
-    except (ValueError, RecursionError):
+    except ValueError:
         return None
     return None if edges is None else Hypergraph(n, k, edges)
 

@@ -205,8 +205,12 @@ def exists_proper(H: Hypergraph, t: int, *,
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    status, colors, nodes = _proper_search(
-        H.n, H.m, H.k, H.conflict_masks(), H.degrees(), t, budget, seed)
+    if H.m and t >= H.k:  # a search is needed: refuse before per-vertex work
+        _check_vertex_limit(H.n)
+        masks, deg = H.conflict_masks(), H.degrees()
+    else:  # _proper_search answers without them
+        masks, deg = (), ()
+    status, colors, nodes = _proper_search(H.n, H.m, H.k, masks, deg, t, budget, seed)
     witness = Coloring(tuple(colors), t) if status == "found" else None
     return SolveResult(status, witness, nodes)
 

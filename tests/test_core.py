@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -532,6 +536,19 @@ PARSE_CORPUS = [
     '{"k":3,"n":-0,"edges":[]}', '{"k":3,"n":-7,"edges":[[0,1,2]]}',
     '{"k":3,"n":7,"edges":[ \t\r\n]\n}\n', PLAIN + "}", PLAIN + "]", PLAIN + " ]}",
     serialize_hypergraph(K4_3) + "x", serialize_hypergraph(K4_3, pretty=True) + "}",
+    # rows the byte decoder must refuse or take exactly as json.loads does:
+    # a leading zero, whitespace inside a number, JSON whitespace between
+    # the tokens of a row, a non-ASCII digit, 20-digit ids, ids as wide as
+    # n - 1 but not below n, and an empty row among valid ones
+    '{"k":2,"n":3,"edges":[[01,2]]}', '{"k":2,"n":100,"edges":[[0,1],[1,02]]}',
+    '{"k":2,"n":100,"edges":[[00,1]]}', '{"k":2,"n":30,"edges":[[0,1],[1 0,2]]}',
+    '{"k":2,"n":3,"edges":[\t[\r0\n,\t1\r]\n,[1 ,\r\n2]\t]}',
+    '{"k":2,"n":3,"edges":[[\u0663,1]]}', '{"k":2,"n":3,"edges":[[0,12345678901234567890]]}',
+    '{"k":2,"n":9223372036854775807,"edges":[[0,18446744073709551617]]}',
+    '{"k":2,"n":9223372036854775807,"edges":[[0,9223372036854775806]]}',
+    '{"k":2,"n":9223372036854775807,"edges":[[0,9223372036854775807]]}',
+    '{"k":2,"n":9223372036854775807,"edges":[[0,9999999999999999999]]}',
+    '{"k":2,"n":57,"edges":[[0,56],[0,60]]}', '{"k":2,"n":3,"edges":[[0,1],[],[1,2]]}',
 ]
 
 
@@ -600,6 +617,13 @@ class TestSlicedParse:
         assert got == parse_outcome(reference_parse, text), text
 
 
+# n and ids at the digit-count boundaries and those of the id dtypes
+BOUNDARY_NS = [9, 10, 11, 99, 100, 999, 1000, 32767, 32768, 2 ** 31 - 1, 2 ** 31,
+               2 ** 63 - 1]
+BOUNDARY_IDS = [0, 1, 8, 9, 10, 11, 98, 99, 100, 998, 999, 1000, 32766, 32767,
+                32768, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 3, 2 ** 63 - 2]
+
+
 class TestChunkedOutput:
     """Serialization, the conflict masks and the degrees work one chunk
     of rows at a time; the results do not depend on where the chunks fall."""
@@ -624,6 +648,23 @@ class TestChunkedOutput:
         assert [serialize_hypergraph(H, pretty=p) for p in (False, True)] == want
         assert H.conflict_masks() == masks
         assert np.array_equal(H.degrees(), degrees)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_serialize_matches_one_dump_at_digit_boundaries(self, data):
+        k = data.draw(st.integers(2, 6))
+        n = data.draw(st.sampled_from(BOUNDARY_NS))
+        ids = st.sampled_from([v for v in BOUNDARY_IDS if v < n]) | st.integers(0, n - 1)
+        rows = data.draw(st.lists(st.lists(ids, min_size=k, max_size=k, unique=True),
+                                  max_size=8))
+        H = Hypergraph(n, k, rows, dedup=True)
+        # chunks of a row or two: neighbouring chunks write ids of other widths
+        chunk = data.draw(st.sampled_from([1, 2, 3, core._CHUNK_ROWS]))
+        for pretty in (False, True):
+            with mock.patch.object(core, "_CHUNK_ROWS", chunk):
+                text = serialize_hypergraph(H, pretty=pretty)
+            assert text == core.dump_json(core.hypergraph_to_dict(H), pretty=pretty)
+            assert parse_hypergraph(text) == H
 
     def test_conflict_masks_across_chunks(self, monkeypatch, rng):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 3)
@@ -665,8 +706,38 @@ class TestBoundedMemory:
         assert got == text
         assert peak <= self.LIMIT
 
+    def test_serialize_pretty(self, grid_doc):
+        # the 12.4 MB text is the result itself, not a transient
+        H = grid_doc[0]
+        got, peak = traced_peak(lambda: serialize_hypergraph(H, pretty=True))
+        assert parse_hypergraph(got) == H
+        assert peak - len(got) <= self.LIMIT
+
     def test_conflict_masks(self, grid_doc):
         H = Hypergraph(grid_doc[0].n, grid_doc[0].k, grid_doc[0].edges)
         masks, peak = traced_peak(H.conflict_masks)
         assert len(masks) == H.n
         assert peak <= self.LIMIT
+
+
+def test_decoder_refusals_run_under_optimize():
+    # python -O strips assert statements; no refusal of the sliced decoder
+    # may be one, or a bad row would be read as a good one
+    script = """
+if __debug__:
+    raise SystemExit("not running under -O")
+from hypercolor import core, parse_hypergraph
+for text in ['{"k":2,"n":100,"edges":[[01,2]]}', '{"k":2,"n":3,"edges":[[0,3]]}',
+             '{"k":2,"n":3,"edges":[[0,1],[],[1,2]]}']:
+    try:
+        parse_hypergraph(text)
+    except ValueError as exc:
+        print(core._parse_sliced(text), type(exc).__name__)
+"""
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["None DocumentError", "None VertexRangeError",
+                                        "None UniformityError", ""]

@@ -760,6 +760,14 @@ class TestVertexLimit:
                            match=f"the hypergraph has {n}$"):
             query(Hypergraph(n, 2, [[0, 1]]))
 
+    @pytest.mark.parametrize("n", [3_000_000, 2 ** 63 - 1])
+    def test_exists_proper_refuses_hostile_count_first(self, no_per_vertex_work, n):
+        H = Hypergraph(n, 2, [[0, 1]])
+        assert exists_proper(H, 1).status == "none"  # t < k needs no search
+        with pytest.raises(hypercolor.VertexLimitError,
+                           match=f"the hypergraph has {n}$"):
+            exists_proper(H, 2)
+
     def test_edgeless_spectrum_needs_no_vertex_pass(self, no_per_vertex_work):
         rep = spectrum(Hypergraph(10 ** 12, 2, []))
         assert (rep.chi, rep.psi, rep.feasible, rep.unknown) == (1, 0, (), ())
