@@ -64,10 +64,6 @@ class GridParams:
             return range(lo, lo)
         return range(lo, self.r)
 
-    @property
-    def gap_nonempty(self) -> bool:
-        return len(self.gap_range()) > 0
-
 
 def grid_transversal(k: int, r: int) -> Hypergraph:
     """Build the grid family on k*r vertices.
@@ -223,11 +219,12 @@ class SplitPattern:
         object.__setattr__(self, "split", split)
         lifts = tuple(tuple(int(b) for b in row) for row in self.lifts)
         object.__setattr__(self, "lifts", lifts)
-        base = self.base_edges()
-        if len(lifts) != len(base):
-            raise ValueError(f"expected {len(base)} lift rows, got {len(lifts)}")
+        # count before listing: the base has C(base_m, k) edges
+        want_rows = math.comb(self.base_m, self.k)
+        if len(lifts) != want_rows:
+            raise ValueError(f"expected {want_rows} lift rows, got {len(lifts)}")
         split_set = set(split)
-        for row, edge in zip(lifts, base):
+        for row, edge in zip(lifts, self.base_edges()):
             want = sum(1 for v in edge if v in split_set)
             if len(row) != want:
                 raise ValueError(f"edge {edge} has {want} split members, "
@@ -292,11 +289,10 @@ def split_lift(pattern: SplitPattern) -> Hypergraph:
 
     Every base edge becomes one edge through the chosen copies.  Distinct
     base edges always produce distinct edges (the copy ids identify the
-    base members), so the result keeps C(base_m, k) edges; dedup stays on
-    as a guard.  Unchosen copies may be isolated but still count as
-    vertices.
+    base members), so the result keeps C(base_m, k) edges.  Unchosen
+    copies may be isolated but still count as vertices.
     """
     n, rows = lift_layout(pattern.base_m, pattern.split, pattern.k)
     edges = [fixed + [c + b for c, b in zip(copies, lift)]
              for (fixed, copies), lift in zip(rows, pattern.lifts)]
-    return Hypergraph(n, pattern.k, edges, dedup=True)
+    return Hypergraph(n, pattern.k, edges)

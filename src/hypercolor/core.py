@@ -97,10 +97,8 @@ class Hypergraph:
     n : vertex count, >= 0.
     k : edge size, >= 2.
     edges : iterable of k-element vertex collections, or an (m, k) integer
-        array.  Vertex order inside an edge does not matter.
-    dedup : if true, silently drop repeated edges instead of raising
-        :class:`SimplicityError`.  Generators that can emit the same edge
-        twice pass this; parsers of external documents do not.
+        array.  Vertex order inside an edge does not matter; a repeated
+        edge raises :class:`SimplicityError`.
     """
 
     __slots__ = ("n", "k", "edges", "_tuples", "_masks", "_hash")
@@ -110,16 +108,17 @@ class Hypergraph:
     edges: np.ndarray
 
     def __init__(self, n: int, k: int,
-                 edges: Iterable[Sequence[int]] | np.ndarray,
-                 *, dedup: bool = False):
+                 edges: Iterable[Sequence[int]] | np.ndarray):
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < 2 ** 63:
             # ids are stored in at most int64
             raise DocumentError(
                 f"vertex count must be a non-negative int below 2**63, got {n!r}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-            raise DocumentError(f"edge size must be an int >= 2, got {k!r}")
+        if not isinstance(k, int) or isinstance(k, bool) or not 2 <= k < 2 ** 60:
+            # numpy cannot shape a row of 2**60 int64 ids
+            raise DocumentError(
+                f"edge size must be an int >= 2 and below 2**60, got {k!r}")
         arr = self._coerce(n, k, edges)
-        self._adopt(n, k, self._canonicalize(n, k, arr, dedup))
+        self._adopt(n, k, self._canonicalize(n, k, arr))
 
     @classmethod
     def _trusted(cls, n: int, k: int, arr: np.ndarray) -> "Hypergraph":
@@ -189,7 +188,7 @@ class Hypergraph:
         return arr.astype(_dtype_for(n))
 
     @staticmethod
-    def _canonicalize(n: int, k: int, arr: np.ndarray, dedup: bool) -> np.ndarray:
+    def _canonicalize(n: int, k: int, arr: np.ndarray) -> np.ndarray:
         m = arr.shape[0]
         if m == 0:
             return arr
@@ -209,12 +208,8 @@ class Hypergraph:
                 arr = arr[np.lexsort(arr.T[::-1])]
                 equal = _row_steps(arr)[1]
             if equal.any():
-                if not dedup:
-                    raise SimplicityError(
-                        f"duplicate edge {arr[int(equal.argmax())].tolist()}")
-                keep = np.ones(m, dtype=bool)
-                keep[1:] = ~equal
-                arr = arr[keep]
+                raise SimplicityError(
+                    f"duplicate edge {arr[int(equal.argmax())].tolist()}")
         return np.ascontiguousarray(arr)
 
     # -- basic accessors -------------------------------------------------
@@ -308,12 +303,6 @@ class Coloring:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.colors, dtype=np.int32)
 
-    def class_sizes(self) -> list[int]:
-        sizes = [0] * self.t
-        for c in self.colors:
-            sizes[c] += 1
-        return sizes
-
     def classes(self) -> list[tuple[int, ...]]:
         """Vertices grouped by color, each group ascending."""
         out: list[list[int]] = [[] for _ in range(self.t)]
@@ -347,20 +336,6 @@ def subset_rank(sorted_colors: Sequence[int]) -> int:
     subsets can be marked in a flat array without knowing t up front.
     """
     return sum(math.comb(c, i + 1) for i, c in enumerate(sorted_colors))
-
-
-def subset_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank` for a k-subset."""
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        # largest c with C(c, i) <= r
-        c = i - 1
-        while math.comb(c + 1, i) <= r:
-            c += 1
-        out.append(c)
-        r -= math.comb(c, i)
-    return tuple(reversed(out))
 
 
 def _chunks(m: int) -> Iterator[slice]:

@@ -76,6 +76,9 @@ class SpectrumTarget:
     def __post_init__(self):
         req = frozenset(int(t) for t in self.require)
         forb = frozenset(int(t) for t in self.forbid)
+        if min(req | forb, default=0) < 0:
+            raise ValueError(f"required and forbidden sizes must be non-negative, "
+                             f"got {min(req | forb)}")
         if req & forb:
             raise ValueError(f"require and forbid overlap: {sorted(req & forb)}")
         object.__setattr__(self, "require", req)
@@ -266,6 +269,14 @@ def _space(base_m: int, split: tuple, k: int) -> _LiftSpace:
     return _LiftSpace(base_m, split, k)
 
 
+def _screen_colors(space: _LiftSpace, require) -> int:
+    """Color count of the proper-coloring screens: the smallest required
+    t, or k, capped at n.  A proper t-coloring with t > n exists exactly
+    when a proper n-coloring does, and with first-use symmetry breaking
+    the search visits the same nodes either way."""
+    return min(min(require, default=space.k), space.n)
+
+
 def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int:
     """Random pattern consistent with some proper `classes`-partition.
 
@@ -274,10 +285,10 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
     rainbow under the partition.  Edges are independent given the
     partition, so this is a uniform draw from the consistent patterns.
     Falls back to uniform random bits when 40 partitions in a row leave
-    some edge with no consistent choice.
+    some edge with no consistent choice, or at once for 0 classes.
     """
     n = space.n
-    for _ in range(40):
+    for _ in range(40 if classes else 0):
         ids = list(range(n))
         rng.shuffle(ids)
         class_of = [0] * n
@@ -311,10 +322,11 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
     """
     stats["candidates"] += 1
     score = 0
-    tmin = min(target.require) if target.require else space.k
-    need = -(-space.n // tmin)
+    tmin = _screen_colors(space, target.require)
     masks, deg = space.screen_data(bits)
-    if next(_iter_independent(masks, need), None) is None:
+    # some class of a proper tmin-coloring holds ceil(n / tmin) vertices;
+    # no proper 0-coloring exists, which the search below reports
+    if tmin and next(_iter_independent(masks, -(-space.n // tmin)), None) is None:
         stats["screen_fail"] += 1
         return score, None, H
     score += 1
@@ -378,7 +390,7 @@ def _run_restart(args):
         if key not in hits:
             hits[key] = (bits, report)
 
-    classes = min(require) if require else k
+    classes = _screen_colors(space, require)
 
     def propose_fresh() -> int:
         if rng.random() < 0.7:
@@ -430,8 +442,12 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     until the budget is spent, in a pool of `workers` processes if above 1.
     Hits are deduplicated by hypergraph canonical form, re-validated
     independently, and returned sorted by canonical form, so the outcome
-    is a function of (seed, budget) alone.
+    is a function of (seed, budget) alone.  k < 2 and negative sizes raise
+    ValueError; a required size no lift can have (0, or more than its
+    vertex count) yields no hits.
     """
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
     if base_m > _MAX_BASE:
         raise ValueError(f"base_m capped at {_MAX_BASE}, got {base_m}")
     if base_m < k:

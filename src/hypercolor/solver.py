@@ -624,7 +624,7 @@ def spectrum(H: Hypergraph, *,
         warnings.append("hypergraph has no edges; no complete coloring by convention")
     else:  # it searches: refuse past the vertex limit before counting
         _check_vertex_limit(H.n)
-        iso = int(np.count_nonzero(H.degrees() == 0))
+        iso = len(H.isolated_vertices())
         if iso:
             warnings.append(f"{iso} isolated vertices")
 

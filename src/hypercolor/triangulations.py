@@ -16,7 +16,6 @@ but no complete 5-coloring.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 from .core import Coloring, Hypergraph
@@ -278,10 +277,7 @@ def face_hypergraph(e: Embedding) -> Hypergraph:
     """3-uniform hypergraph on the same vertices, one edge per face."""
     if not e.is_triangulation:
         raise EmbeddingError("face hypergraph needs a triangulation")
-    rows = [tuple(sorted(f)) for f in e.faces()]
-    if len(set(rows)) != len(rows):
-        warnings.warn("duplicate face vertex sets merged", stacklevel=2)
-    return Hypergraph(e.n, 3, rows, dedup=True)
+    return Hypergraph(e.n, 3, e.faces())
 
 
 def is_eulerian(e: Embedding) -> bool:

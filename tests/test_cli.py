@@ -58,6 +58,13 @@ class TestGen:
         assert code == 1 and out == ""
         assert err.startswith("error: not valid JSON") and err.count("\n") == 1
 
+    def test_split_lift_of_a_huge_base_exit_1(self, capsys, tmp_path):
+        f = tmp_path / "pat.json"
+        f.write_text('{"base_m": 1000000, "split": [], "lifts": []}')
+        code, out, err = run(capsys, ["gen", "split-lift", "--pattern", str(f)])
+        assert code == 1 and out == ""
+        assert err == "error: expected 166666166667000000 lift rows, got 0\n"
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "h.json"
         code, out, _ = run(capsys, ["gen", "regular15", "--out", str(dest)])
@@ -157,7 +164,11 @@ class TestSolve:
          "got 18446744073709551616"),
         ('{"k":2,"n":3,"edges":' + "[" * 100_000 + "]" * 100_000 + "}",
          "not valid JSON: nested too deeply"),
-    ], ids=["n=2**63-1", "n=2**64", "nested"])
+        ('{"k":99999999999999999999999,"n":3,"edges":[]}',
+         "edge size must be an int >= 2 and below 2**60, got 99999999999999999999999"),
+        ('{"k":4611686018427387904,"n":3,"edges":[]}',
+         "edge size must be an int >= 2 and below 2**60, got 4611686018427387904"),
+    ], ids=["n=2**63-1", "n=2**64", "nested", "k=10**23", "k=2**62"])
     @pytest.mark.parametrize("query", ["--chi", "--spectrum"])
     def test_hostile_documents_exit_1(self, capsys, monkeypatch, doc, message, query):
         code, out, err = run(capsys, ["solve", "-", query],
@@ -200,6 +211,28 @@ class TestSearch:
                                     "--budget", "64"])
         assert code == 2
         assert json.loads(out)["hits"] == []
+
+    @pytest.mark.parametrize("size", ["0", "1000000000"])
+    def test_unreachable_required_size_exit_2(self, capsys, size):
+        # no proper 0-coloring, no complete coloring past the 9 vertices:
+        # no hits, as for test_no_hits_exit_2, in randomized mode
+        code, out, _ = run(capsys, ["search", "split", "--base", "5",
+                                    "--split", "0,1,2,3", "--require", size,
+                                    "--budget", "200"])
+        assert code == 2
+        assert json.loads(out)["hits"] == []
+
+    @pytest.mark.parametrize("args, message", [
+        (["--require=-1"], "required and forbidden sizes must be non-negative, got -1"),
+        (["--forbid=-1"], "required and forbidden sizes must be non-negative, got -1"),
+        (["--k", "0"], "need k >= 2, got k=0"),
+        (["--k", "1"], "need k >= 2, got k=1"),
+    ], ids=["require=-1", "forbid=-1", "k=0", "k=1"])
+    def test_degenerate_sizes_exit_1(self, capsys, args, message):
+        code, out, err = run(capsys, ["search", "split", "--base", "5",
+                                      "--split", "0,1,2,3"] + args)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_deterministic_bytes(self, capsys):
         argv = ["search", "split", "--base", "5", "--split", "0,1,2,3",

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestGridFamily:
         assert list(GridParams(4, 24).gap_range()) == list(range(21, 24))
         assert list(GridParams(5, 34).gap_range()) == list(range(32, 34))
         # degenerate: small r leaves nothing between the two colorings
-        assert not GridParams(3, 3).gap_nonempty
+        assert not GridParams(3, 3).gap_range()
 
     @pytest.mark.parametrize("r, t", [(10, 9), (16, 12), (16, 13), (16, 14),
                                       (16, 15)])
@@ -246,6 +247,15 @@ class TestSplitLift:
             SplitPattern(4, (0, 1), ((0, 0, 0),) * 4)
         with pytest.raises(ValueError):
             SplitPattern(4, (0,), ((7,),) * 4)
+
+    def test_row_count_checked_before_base_edges_are_listed(self, monkeypatch):
+        # C(10**6, 3) ~ 1.7e17 base edges: refused from the count alone
+        monkeypatch.setattr(SplitPattern, "base_edges", None)
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="expected 166666166667000000 lift rows, got 0"):
+            SplitPattern(10 ** 6, (), ())
+        assert time.perf_counter() - start < 0.5
 
     def test_vertex_layout(self):
         H = split_lift(self.base_pattern())

@@ -18,6 +18,7 @@ from hypercolor import (
     spectrum,
     split_lift,
 )
+from hypercolor import gapsearch
 from hypercolor.canon import canonical_form
 from hypercolor.gapsearch import (
     SpectrumTarget,
@@ -148,6 +149,36 @@ class TestSplitSearch:
             split_search(9, range(4), require={3})
         with pytest.raises(ValueError):
             split_search(5, (7,), require={3})
+
+    @pytest.mark.parametrize("kw", [dict(k=0), dict(k=1), dict(require={-1}),
+                                    dict(forbid={-1}), dict(require={3}, forbid={-2})])
+    def test_rejects_degenerate_sizes(self, monkeypatch, kw):
+        # refused before the search space is built
+        monkeypatch.setattr(gapsearch, "_space", None)
+        with pytest.raises(ValueError, match="k >= 2|non-negative"):
+            split_search(5, range(4), **kw)
+
+    @pytest.mark.parametrize("t", [0, 10, 10 ** 9])
+    @pytest.mark.parametrize("base_m, split", [(4, (0,)), (5, (0, 1, 2, 3))])
+    def test_unreachable_required_size_has_no_hits(self, base_m, split, t):
+        # lifts of 5 and 9 vertices, the first searched exhaustively, the
+        # second by restarts: no 0-coloring is proper, no t > n complete
+        res = split_search(base_m, split, require={t}, budget=100)
+        assert res.hits == () and res.stats["candidates"] > 0
+
+    def test_screen_colors_capped_at_n(self):
+        # a proper t-coloring with t > n exists exactly when a proper
+        # n-coloring does: same search and same partitions past n
+        space = _space(5, (0, 1, 2, 3), 3)
+        n, m = space.n, len(space.rows)
+        rng = random.Random(3)
+        for _ in range(100):
+            masks, deg = space.screen_data(rng.getrandbits(space.B))
+            assert (_proper_search(n, m, 3, masks, deg, n, None, 0)
+                    == _proper_search(n, m, 3, masks, deg, n + 7, None, 0))
+        for seed in range(20):
+            assert (_structured_bits(space, random.Random(seed), n)
+                    == _structured_bits(space, random.Random(seed), n + 7))
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
