@@ -14,7 +14,6 @@ randomized search came back empty, 1 on bad input.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -52,19 +51,12 @@ EXIT_UNDECIDED = 2
 
 
 def _budget(args, default: int | None = None) -> int | None:
-    """--budget, else HYPERCOLOR_BUDGET, else ``default``; must be positive."""
-    source, value = "--budget", args.budget
-    if value is None:
-        source, raw = "HYPERCOLOR_BUDGET", os.environ.get("HYPERCOLOR_BUDGET")
-        if not raw:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise DocumentError(f"{source} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise DocumentError(f"{source} must be positive, got {value}")
-    return value
+    """--budget, else ``default``; --budget must be positive."""
+    if args.budget is None:
+        return default
+    if args.budget <= 0:
+        raise DocumentError(f"--budget must be positive, got {args.budget}")
+    return args.budget
 
 
 def _read_text(path: str) -> str:

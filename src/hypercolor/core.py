@@ -579,12 +579,17 @@ _BYTE_CLASS[list(b"0123456789[], \t\n\r")] = (
 
 
 def load_json(text: str):
-    """The value of a JSON document; DocumentError when it is malformed or
-    nested too deeply to decode."""
+    """The value of a JSON document; DocumentError when it is malformed,
+    holds an integer too long for int(), or is nested too deeply to
+    decode."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise DocumentError("not valid JSON: an integer has too many "
+                            "digits") from None
     except RecursionError:
         raise DocumentError("not valid JSON: nested too deeply") from None
 

@@ -2,24 +2,23 @@
 
 The search space for a (base_m, split, k) triple is one bit per
 (base edge, split member) slot.  Candidates are screened cheapest-first.
-The first two screens, a quick independent-set necessary condition and
-properness at the smallest required t, read the lift's conflict masks
-and degrees straight from the slot bits and run the solver's own
-proper-coloring search on them, so most candidates never become a
-``Hypergraph``.  Only a pattern that passes them gets its lift, for the
-forbidden values in increasing order, then the required values;
-survivors get an authoritative unlimited-budget spectrum and the target
-predicate is re-checked on that.
+The first screen, properness at the smallest required t, reads the
+lift's conflict masks and degrees straight from the slot bits and runs
+the solver's own proper-coloring search on them, so most candidates
+never become a ``Hypergraph``.  Only a pattern that passes it gets its
+lift, for the forbidden values in increasing order, then the required
+values; survivors get an authoritative unlimited-budget spectrum and the
+target predicate is re-checked on that.
 
 Two modes share the pipeline.  When the whole lift space fits the
 candidate budget the search is exhaustive, skipping every pattern that
 is not the canonical representative of its symmetry orbit (base-vertex
 permutations preserving the split set, times copy swaps).  Otherwise it
 runs randomized restarts with single-bit local moves, sideways
-acceptance, and a tabu list of recently visited canonical forms.  When
-the symmetry group is too large to act on the bits, the orbit key is the
-lift's canonical form, and a candidate that passes the screens reuses
-that lift.
+acceptance, and a tabu set of the orbit keys each restart has
+evaluated.  When the symmetry group is too large to act on the bits, the
+orbit key is the lift's canonical form, and a candidate that passes the
+screen reuses that lift.
 
 Determinism: restart r uses random.Random(f"{seed}:{r}") and a fixed
 candidate quota, so the hit list depends only on (seed, budget), not on
@@ -29,8 +28,9 @@ worker count or scheduling.
 from __future__ import annotations
 
 import math
+import os
 import random
-from collections import OrderedDict
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,8 +40,7 @@ import numpy as np
 
 from . import canon
 from .constructions import SplitPattern, lift_layout, split_lift
-from .core import (Hypergraph, _dtype_for, _iter_independent, covers_all,
-                   independent_sets)
+from .core import Hypergraph, _dtype_for, covers_all, independent_sets
 from .solver import (
     EnumerationCapExceeded,
     _proper_search,
@@ -63,7 +62,6 @@ _FAST_GROUP_CELLS = 1_000_000
 
 _RESTART_QUOTA = 200        # candidates per randomized restart
 _SCREEN_BUDGET = 200_000    # node budget of each screening search
-_TABU_HORIZON = 1000        # canonical forms remembered per restart
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,11 @@ class SpectrumTarget:
 
 @dataclass(frozen=True)
 class StructuralFeatures:
-    """Cheap isomorphism-invariant features used to pre-screen candidates."""
+    """Isomorphism-invariant independence features of a certified instance.
+
+    ``certify_gap_instance`` reports them and the CLI prints them; the
+    search itself does not read them.
+    """
 
     independence_number: int
     max_independent_sets: tuple
@@ -174,20 +176,16 @@ class _LiftSpace:
         self.B = len(self.slots)
 
         # per edge: its slots are consecutive, so (bits >> first) & width
-        # picks one of its lifts; per lift, (vertex, its co-members' bits)
-        # in lift_table and the ascending lifted row in row_table
+        # picks one of its lifts, each (ascending lifted row, members' bits)
         self.lift_table = []
-        self.row_table = []
         for (fixed, copies), sl in zip(self.rows, self.edge_slots):
-            lifts, rows = [], []
+            lifts = []
             for combo in range(1 << len(sl)):
-                row = fixed + [c + ((combo >> i) & 1) for i, c in enumerate(copies)]
-                word = sum(1 << v for v in row)
-                lifts.append(tuple((v, word ^ (1 << v)) for v in row))
-                rows.append(tuple(row))
+                row = tuple(fixed + [c + ((combo >> i) & 1)
+                                     for i, c in enumerate(copies)])
+                lifts.append((row, sum(1 << v for v in row)))
             first, width = (sl[0] if sl else 0), (1 << len(sl)) - 1
             self.lift_table.append((first, width, lifts))
-            self.row_table.append((first, width, rows))
 
         # symmetry action on slot bits: base permutations preserving the
         # split set, composed with per-vertex copy swaps
@@ -231,10 +229,11 @@ class _LiftSpace:
         masks = [0] * self.n
         deg = [0] * self.n
         for first, width, lifts in self.lift_table:
-            for v, others in lifts[(bits >> first) & width]:
-                masks[v] |= others
+            row, word = lifts[(bits >> first) & width]
+            for v in row:
+                masks[v] |= word
                 deg[v] += 1
-        return masks, deg
+        return [m & ~(1 << v) for v, m in enumerate(masks)], deg
 
     def build(self, bits: int) -> Hypergraph:
         """split_lift(self.pattern(bits)) without the SplitPattern round trip.
@@ -244,8 +243,8 @@ class _LiftSpace:
         distinct, so sorting the rows makes the edge array canonical and
         it needs no validating pass.
         """
-        rows = sorted([lifted[(bits >> first) & width]
-                       for first, width, lifted in self.row_table])
+        rows = sorted([lifts[(bits >> first) & width][0]
+                       for first, width, lifts in self.lift_table])
         return Hypergraph._trusted(self.n, self.k,
                                    np.array(rows, dtype=_dtype_for(self.n)))
 
@@ -270,7 +269,7 @@ def _space(base_m: int, split: tuple, k: int) -> _LiftSpace:
 
 
 def _screen_colors(space: _LiftSpace, require) -> int:
-    """Color count of the proper-coloring screens: the smallest required
+    """Color count of the proper-coloring screen: the smallest required
     t, or k, capped at n.  A proper t-coloring with t > n exists exactly
     when a proper n-coloring does, and with first-use symmetry breaking
     the search visits the same nodes either way."""
@@ -301,8 +300,8 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
             pos += take
         bits = 0
         for first, _width, lifts in space.lift_table:
-            allowed = [c for c, lift in enumerate(lifts)
-                       if len({class_of[v] for v, _ in lift}) == space.k]
+            allowed = [c for c, (row, _word) in enumerate(lifts)
+                       if len({class_of[v] for v in row}) == space.k]
             if not allowed:
                 break
             bits |= allowed[rng.randrange(len(allowed))] << first
@@ -315,23 +314,19 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
               stats: dict, H: Hypergraph | None = None):
     """Run the staged pipeline on one pattern.
 
-    The independent-set and proper-coloring screens read conflict masks
-    and degrees straight from the slot bits; only a pattern that passes
-    them gets its lift, unless the caller passes the one its orbit key
-    already built.  Returns (score, report-or-None, lift-or-None).
+    The proper-coloring screen reads conflict masks and degrees straight
+    from the slot bits; only a pattern that passes it gets its lift,
+    unless the caller passes the one its orbit key already built.  A
+    pattern with no proper coloring at the screen's size, including one
+    without the independent set some color class would need, counts in
+    ``chi_fail``.  Returns (score, report-or-None, lift-or-None).
     """
     stats["candidates"] += 1
     score = 0
-    tmin = _screen_colors(space, target.require)
     masks, deg = space.screen_data(bits)
-    # some class of a proper tmin-coloring holds ceil(n / tmin) vertices;
-    # no proper 0-coloring exists, which the search below reports
-    if tmin and next(_iter_independent(masks, -(-space.n // tmin)), None) is None:
-        stats["screen_fail"] += 1
-        return score, None, H
-    score += 1
     status, _colors, _nodes = _proper_search(
-        space.n, len(space.rows), space.k, masks, deg, tmin, _SCREEN_BUDGET, 0)
+        space.n, len(space.rows), space.k, masks, deg,
+        _screen_colors(space, target.require), _SCREEN_BUDGET, 0)
     if status != "found":
         stats["chi_fail"] += 1
         return score, None, H
@@ -370,19 +365,14 @@ def _validate_hit(H: Hypergraph, report, target: SpectrumTarget) -> bool:
         return True
 
 
-def _new_stats() -> dict:
-    from collections import defaultdict
-    return defaultdict(int)
-
-
 def _run_restart(args):
     base_m, split, k, require, forbid, seed, restart_idx, quota = args
     space = _space(base_m, split, k)
     target = SpectrumTarget(frozenset(require), frozenset(forbid))
     rng = random.Random(f"{seed}:{restart_idx}")
-    stats = _new_stats()
+    stats = defaultdict(int)
     stats["restarts"] = 1
-    tabu: OrderedDict = OrderedDict()
+    tabu = set()     # at most quota keys, one per evaluated candidate
     hits = {}
 
     def note_hit(bits, H, report):
@@ -415,9 +405,7 @@ def _run_restart(args):
             if not fresh:
                 stalled += 1
             continue
-        tabu[cand_key] = None
-        while len(tabu) > _TABU_HORIZON:
-            tabu.popitem(last=False)
+        tabu.add(cand_key)
         spent += 1
         cand_score, cand_report, cand_H = _evaluate(
             space, cand, target, stats, cand_H)
@@ -439,7 +427,8 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     budget counts candidate evaluations.  When 2**slots <= budget the
     whole space is scanned once (canonical orbit representatives only);
     otherwise randomized restarts of `_RESTART_QUOTA` candidates each run
-    until the budget is spent, in a pool of `workers` processes if above 1.
+    until the budget is spent, in a pool of min(workers, restarts, CPUs)
+    processes when that is above 1.
     Hits are deduplicated by hypergraph canonical form, re-validated
     independently, and returned sorted by canonical form, so the outcome
     is a function of (seed, budget) alone.  k < 2 and negative sizes raise
@@ -461,7 +450,7 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
         raise ValueError(f"workers must be at least 1, got {workers}")
     target = SpectrumTarget(frozenset(require), frozenset(forbid))
     space = _space(base_m, split, k)
-    stats = _new_stats()
+    stats = defaultdict(int)
     hits: dict[bytes, tuple[int, object]] = {}
 
     if space.B <= 62 and 2 ** space.B <= budget:
@@ -488,8 +477,10 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
         job = [(base_m, split, k, tuple(sorted(target.require)),
                 tuple(sorted(target.forbid)), seed, ridx, q)
                for ridx, q in quotas]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers up front
+        pool_size = min(workers, len(job), os.cpu_count() or 1)
+        if pool_size > 1:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 results = list(pool.map(_run_restart, job, chunksize=4))
         else:
             results = [_run_restart(a) for a in job]

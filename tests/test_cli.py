@@ -58,6 +58,13 @@ class TestGen:
         assert code == 1 and out == ""
         assert err.startswith("error: not valid JSON") and err.count("\n") == 1
 
+    def test_too_long_base_m_exit_1(self, capsys, tmp_path):
+        f = tmp_path / "pat.json"
+        f.write_text('{"base_m":' + "1" * 5000 + ',"split":[],"lifts":[]}')
+        code, out, err = run(capsys, ["gen", "split-lift", "--pattern", str(f)])
+        assert code == 1 and out == ""
+        assert err == "error: not valid JSON: an integer has too many digits\n"
+
     def test_split_lift_of_a_huge_base_exit_1(self, capsys, tmp_path):
         f = tmp_path / "pat.json"
         f.write_text('{"base_m": 1000000, "split": [], "lifts": []}')
@@ -103,22 +110,19 @@ class TestSolve:
         assert json.loads(out)["status"] == "budget_exhausted"
 
     def test_budget_env_var(self, capsys, monkeypatch):
+        # setting HYPERCOLOR_BUDGET changes nothing: only --budget sets one
         monkeypatch.setenv("HYPERCOLOR_BUDGET", "2")
         doc = serialize_hypergraph(complete_uniform(8, 2))
         code, out, _ = run(capsys, ["solve", "-", "--spectrum"],
                            stdin=doc, monkeypatch=monkeypatch)
-        assert code == 2
-        assert json.loads(out)["unknown"] != []
-
-    @pytest.mark.parametrize("raw", ["0", "-5"])
-    def test_budget_env_var_must_be_positive(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("HYPERCOLOR_BUDGET", raw)
-        doc = serialize_hypergraph(complete_uniform(8, 2))
-        code, out, err = run(capsys, ["solve", "-", "--spectrum"],
-                             stdin=doc, monkeypatch=monkeypatch)
-        assert code == 1
-        assert out == ""
-        assert "HYPERCOLOR_BUDGET" in err
+        assert code == 0
+        assert json.loads(out)["unknown"] == []
+        monkeypatch.setenv("HYPERCOLOR_BUDGET", "3")
+        code, out, _ = run(capsys, ["search", "split", "--base", "4",
+                                    "--split", "0,1", "--require", "4"])
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["mode_exhaustive"] == 1 and stats["candidates"] > 3
 
     def test_spectrum_budget_bounds_chi(self, capsys, monkeypatch):
         # the chi search on K8 needs 8 nodes, more than the budget
@@ -168,7 +172,12 @@ class TestSolve:
          "edge size must be an int >= 2 and below 2**60, got 99999999999999999999999"),
         ('{"k":4611686018427387904,"n":3,"edges":[]}',
          "edge size must be an int >= 2 and below 2**60, got 4611686018427387904"),
-    ], ids=["n=2**63-1", "n=2**64", "nested", "k=10**23", "k=2**62"])
+        ('{"k":2,"n":3,"edges":[[0,' + "1" * 5000 + ']]}',
+         "not valid JSON: an integer has too many digits"),
+        ('{"k":' + "1" * 5000 + ',"n":3,"edges":[[0,1]]}',
+         "not valid JSON: an integer has too many digits"),
+    ], ids=["n=2**63-1", "n=2**64", "nested", "k=10**23", "k=2**62",
+            "5000-digit id", "5000-digit k"])
     @pytest.mark.parametrize("query", ["--chi", "--spectrum"])
     def test_hostile_documents_exit_1(self, capsys, monkeypatch, doc, message, query):
         code, out, err = run(capsys, ["solve", "-", query],

@@ -385,6 +385,16 @@ class TestSerialization:
         with pytest.raises(DocumentError, match="^not valid JSON"):
             parse_hypergraph(text)
 
+    @pytest.mark.parametrize("text", [
+        '{"k":2,"n":3,"edges":[[0,' + "1" * 5000 + ']]}',
+        '{"k":' + "1" * 5000 + ',"n":3,"edges":[[0,1]]}',
+    ], ids=["id", "k"])
+    def test_too_long_integer_is_a_document_error(self, text):
+        # json.loads raises a bare ValueError past int()'s digit limit
+        with pytest.raises(DocumentError,
+                           match="^not valid JSON: an integer has too many digits$"):
+            parse_hypergraph(text)
+
     def test_vertex_errors_pass_through(self):
         with pytest.raises(VertexRangeError):
             parse_hypergraph('{"n": 2, "k": 2, "edges": [[0, 5]]}')

@@ -36,9 +36,17 @@ from conftest import assert_trusted_edges
 DATA = Path(__file__).parent / "data"
 
 # sha256 over sorted stats and the JSON of every hit pattern and report of
-# the searches in _pinned_searches, recorded before the bit-level screens
+# the searches in _pinned_searches, re-recorded when the independent-set
+# screen went: its rejections now count in chi_fail, which moves the local
+# search's stats but not its hits (see _HITS_DIGEST)
 _SEARCH_DIGEST = (
-    "a4753a763847a2da9a0f724f7425c2f612b03dbfefcaa3c8e097e3f91a263922")
+    "3d0401870a0615b459c0282a25a99c447d2151bdefc2875c37656516319c0962")
+
+# sha256 over only the JSON of every hit pattern and report of the
+# searches in _pinned_searches: the hits, without the stats that depend on
+# how the screens count their rejections
+_HITS_DIGEST = (
+    "b99732ee11a8c2be94c4a652abc49774f6ace3749c6ce8d1c5e470efebd6c175")
 
 
 def _pinned_searches():
@@ -144,6 +152,14 @@ class TestSplitSearch:
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         assert digest == _SEARCH_DIGEST
 
+    def test_hits_digest(self):
+        rows = []
+        for res in _pinned_searches():
+            for pattern, report in res.hits:
+                rows += [pattern.to_json(), report.to_json()]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == _HITS_DIGEST
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             split_search(9, range(4), require={3})
@@ -179,6 +195,33 @@ class TestSplitSearch:
         for seed in range(20):
             assert (_structured_bits(space, random.Random(seed), n)
                     == _structured_bits(space, random.Random(seed), n + 7))
+
+    @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
+    def test_pool_capped_at_restarts_and_cpus(self, monkeypatch, cpus, want):
+        # 600 candidates make 3 restarts; a fake pool records its size and
+        # maps in this process, so no worker is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        kw = dict(require={3, 5}, forbid={4}, budget=600, seed=3)
+        serial = split_search(5, range(4), **kw)
+        monkeypatch.setattr(gapsearch, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(gapsearch.os, "cpu_count", lambda: cpus)
+        res = split_search(5, range(4), workers=1_000_000, **kw)
+        assert sizes == want
+        assert res.hits == serial.hits and res.stats == serial.stats
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
@@ -303,7 +346,7 @@ class TestLiftSpace:
         # one per canonical-form key (every candidate and tabu skip), which
         # its survivors reuse; each hit is rebuilt once for validation
         if _space(base_m, split, 3).fast_canon:
-            lifts = st["candidates"] - st["screen_fail"] - st["chi_fail"]
+            lifts = st["candidates"] - st["chi_fail"]
         else:
             lifts = st["candidates"] + st["tabu_skips"]
         assert builds == lifts + st["hits"]
@@ -332,21 +375,23 @@ class TestScreens:
 
     @pytest.mark.parametrize("base_m, split, require", [
         (5, (0, 1, 2, 3), {3, 5}), (6, (0, 1, 2, 3, 4, 5), {3, 6})])
-    def test_screen_fails_exactly_without_independent_set(self, base_m,
-                                                          split, require):
+    def test_chi_fail_without_independent_set(self, base_m, split, require):
+        # some class of a proper t-coloring holds ceil(n / t) vertices, so
+        # the proper-coloring screen alone rejects a lift without such a set
         space = _space(base_m, split, 3)
         target = SpectrumTarget(frozenset(require), frozenset())
         need = -(-space.n // min(require))
         rng = random.Random(base_m)
-        fails = 0
+        missing = 0
         for _ in range(60):
             bits = rng.getrandbits(space.B)
             stats = collections.defaultdict(int)
             _evaluate(space, bits, target, stats)
-            want = not independent_sets(space.build(bits), need)
-            assert stats["screen_fail"] == want
-            fails += want
-        assert 0 < fails < 60
+            assert "screen_fail" not in stats
+            if not independent_sets(space.build(bits), need):
+                assert stats["chi_fail"] == 1
+                missing += 1
+        assert 0 < missing < 60
 
 
 class TestCertifyGapInstance:
