@@ -28,7 +28,6 @@ from .core import (
     serialize_hypergraph,
 )
 from .constructions import (
-    GridParams,
     SplitPattern,
     complete_uniform,
     grid_transversal,

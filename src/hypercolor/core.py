@@ -8,9 +8,9 @@ large constructed families (tens of millions of edges) stay workable in a
 few hundred MB.  The bulk paths work one column at a time over chunks of
 edges, never on per-edge Python objects or (m, k) temporaries: the
 predicates gather colors per column and sort each row with a
-compare-exchange network over the k columns, and construction checks row
-order column by column, sorting only what is out of order.  The public
-constructor copies and validates whatever it is given; the package's own
+compare-exchange network over the k columns.  The public constructor
+copies and validates whatever it is given, checking row order over the
+whole array and sorting only what is out of order; the package's own
 builders whose rows are canonical by construction (the grid generator,
 the split-search lifts) hand over their fresh arrays through
 ``Hypergraph._trusted`` instead, which keeps them without a copy.
@@ -75,18 +75,14 @@ def _dtype_for(n: int) -> np.dtype:
 
 def _row_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row after the first: (lexicographically later, equal) than
-    the row before it, one column and one chunk of rows at a time."""
-    later, equal = [], []
-    for sl in _chunks(arr.shape[0] - 1):
-        a, b = arr[sl.start + 1:sl.stop + 1], arr[sl]
-        gt = a[:, 0] > b[:, 0]
-        eq = a[:, 0] == b[:, 0]
-        for i in range(1, arr.shape[1]):
-            gt |= eq & (a[:, i] > b[:, i])
-            eq &= a[:, i] == b[:, i]
-        later.append(gt)
-        equal.append(eq)
-    return np.concatenate(later), np.concatenate(equal)
+    the row before it, one column at a time."""
+    a, b = arr[1:], arr[:-1]
+    later = a[:, 0] > b[:, 0]
+    equal = a[:, 0] == b[:, 0]
+    for i in range(1, arr.shape[1]):
+        later |= equal & (a[:, i] > b[:, i])
+        equal &= a[:, i] == b[:, i]
+    return later, equal
 
 
 class Hypergraph:
@@ -193,7 +189,7 @@ class Hypergraph:
         if m == 0:
             return arr
         # sort each row unless every column already lies below the next
-        # (the bulk generators emit sorted rows)
+        # (a parsed written document has sorted rows)
         if not all(bool((arr[:, i] < arr[:, i + 1]).all()) for i in range(k - 1)):
             arr = np.sort(arr, axis=1)
             repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
@@ -202,7 +198,7 @@ class Hypergraph:
                     f"edge {arr[int(repeats.argmax())].tolist()} repeats a vertex")
         if m > 1:
             # lexicographic row order; skip the sort when rows already comply
-            # (lexsort on 30M rows is slow)
+            # (as the rows of a parsed written document do)
             later, equal = _row_steps(arr)
             if not later.all():
                 arr = arr[np.lexsort(arr.T[::-1])]

@@ -32,6 +32,7 @@ import os
 import random
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -193,8 +194,7 @@ class _LiftSpace:
                   if {p[v] for v in self.split} == split_set]
         s = len(self.split)
         self.group_cells = len(sigmas) * (1 << s) * max(self.B, 1)
-        self.fast_canon = (self.B <= 63 and s <= 20
-                           and self.group_cells <= _FAST_GROUP_CELLS)
+        self.fast_canon = self.B <= 63 and self.group_cells <= _FAST_GROUP_CELLS
         if self.fast_canon:
             src = np.empty((len(sigmas), self.B), dtype=np.intp)
             for si, p in enumerate(sigmas):
@@ -366,7 +366,8 @@ def _validate_hit(H: Hypergraph, report, target: SpectrumTarget) -> bool:
 
 
 def _run_restart(args):
-    base_m, split, k, require, forbid, seed, restart_idx, quota = args
+    base_m, split, k, require, forbid, seed, budget, restart_idx = args
+    quota = min(_RESTART_QUOTA, budget - restart_idx * _RESTART_QUOTA)
     space = _space(base_m, split, k)
     target = SpectrumTarget(frozenset(require), frozenset(forbid))
     rng = random.Random(f"{seed}:{restart_idx}")
@@ -374,12 +375,6 @@ def _run_restart(args):
     stats["restarts"] = 1
     tabu = set()     # at most quota keys, one per evaluated candidate
     hits = {}
-
-    def note_hit(bits, H, report):
-        key = canon.canonical_form(H)
-        if key not in hits:
-            hits[key] = (bits, report)
-
     classes = _screen_colors(space, require)
 
     def propose_fresh() -> int:
@@ -410,7 +405,7 @@ def _run_restart(args):
         cand_score, cand_report, cand_H = _evaluate(
             space, cand, target, stats, cand_H)
         if cand_report is not None:
-            note_hit(cand, cand_H, cand_report)
+            hits.setdefault(canon.canonical_form(cand_H), (cand, cand_report))
         if fresh or cand_score >= score:
             bits, score = cand, cand_score
             stalled = 0
@@ -428,7 +423,8 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     whole space is scanned once (canonical orbit representatives only);
     otherwise randomized restarts of `_RESTART_QUOTA` candidates each run
     until the budget is spent, in a pool of min(workers, restarts, CPUs)
-    processes when that is above 1.
+    processes when that is above 1.  Restarts are folded in order as they
+    finish; a pool submits them all up front, a serial search one by one.
     Hits are deduplicated by hypergraph canonical form, re-validated
     independently, and returned sorted by canonical form, so the outcome
     is a function of (seed, budget) alone.  k < 2 and negative sizes raise
@@ -461,35 +457,24 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
                 continue
             _score, report, H = _evaluate(space, bits, target, stats)
             if report is not None:
-                key = canon.canonical_form(H)
-                if key not in hits:
-                    hits[key] = (bits, report)
+                hits.setdefault(canon.canonical_form(H), (bits, report))
     else:
         stats["mode_randomized"] = 1
-        quotas = []
-        remaining = budget
-        idx = 0
-        while remaining > 0:
-            q = min(_RESTART_QUOTA, remaining)
-            quotas.append((idx, q))
-            remaining -= q
-            idx += 1
-        job = [(base_m, split, k, tuple(sorted(target.require)),
-                tuple(sorted(target.forbid)), seed, ridx, q)
-               for ridx, q in quotas]
+        restarts = -(-budget // _RESTART_QUOTA)
+        jobs = ((base_m, split, k, tuple(sorted(target.require)),
+                 tuple(sorted(target.forbid)), seed, budget, r)
+                for r in range(restarts))
         # the pool forks all its workers up front
-        pool_size = min(workers, len(job), os.cpu_count() or 1)
-        if pool_size > 1:
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                results = list(pool.map(_run_restart, job, chunksize=4))
-        else:
-            results = [_run_restart(a) for a in job]
-        for rhits, rstats in results:
-            for key, (bits, report) in rhits.items():
-                if key not in hits:
-                    hits[key] = (bits, report)
-            for name, val in rstats.items():
-                stats[name] += val
+        pool_size = min(workers, restarts, os.cpu_count() or 1)
+        with (ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1
+              else nullcontext()) as pool:
+            results = (pool.map(_run_restart, jobs, chunksize=4) if pool
+                       else map(_run_restart, jobs))
+            for rhits, rstats in results:
+                for key, hit in rhits.items():
+                    hits.setdefault(key, hit)
+                for name, val in rstats.items():
+                    stats[name] += val
 
     out = []
     for key in sorted(hits):

@@ -41,7 +41,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .core import (
     HypergraphError,
     SpectrumReport,
     is_complete,
+    is_proper,
     subset_rank,
 )
 
@@ -89,7 +89,7 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 class InvalidWitnessError(RuntimeError):
-    """Raised when a search reports a witness that is not a complete coloring."""
+    """Raised when a search's witness is not the coloring it searched for."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,8 @@ def exists_proper(H: Hypergraph, t: int, *,
 
     A thin wrapper around ``_proper_search``, the one proper-coloring
     DFS, which the split-search screens also call on slot-bit data.
-    Raises :class:`VertexLimitError` as ``exists_complete`` does.
+    Raises :class:`VertexLimitError` as ``exists_complete`` does, and
+    :class:`InvalidWitnessError` if a found witness fails ``is_proper``.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -212,6 +213,9 @@ def exists_proper(H: Hypergraph, t: int, *,
         masks, deg = (), ()
     status, colors, nodes = _proper_search(H.n, H.m, H.k, masks, deg, t, budget, seed)
     witness = Coloring(tuple(colors), t) if status == "found" else None
+    if witness is not None and not is_proper(H, witness):
+        raise InvalidWitnessError(
+            f"t={t}: the search returned {witness}, not a proper coloring")
     return SolveResult(status, witness, nodes)
 
 
@@ -438,7 +442,8 @@ def exists_complete(H: Hypergraph, t: int, *,
     and whose uncolored vertices can still take the colors it lacks.
     Answers never depend on it, node counts do.  Raises
     :class:`VertexLimitError` when a search is needed on more than
-    ``_MAX_SEARCH_VERTICES`` vertices.
+    ``_MAX_SEARCH_VERTICES`` vertices, and :class:`InvalidWitnessError`
+    if a found witness fails ``is_complete``.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -534,6 +539,9 @@ def exists_complete(H: Hypergraph, t: int, *,
         return SolveResult("budget_exhausted", None, bud.nodes)
     if ok:
         witness = Coloring(tuple(color_of), t)
+        if not is_complete(H, witness):
+            raise InvalidWitnessError(
+                f"t={t}: the search returned {witness}, not a complete coloring")
         return SolveResult("found", witness, bud.nodes)
     return SolveResult("none", None, bud.nodes)
 
@@ -638,10 +646,6 @@ def spectrum(H: Hypergraph, *,
     for t in range(max(H.k, lo), psi_upper_bound(H) + 1):
         res = exists_complete(H, t, budget=budget, seed=seed)
         if res.status == "found":
-            if res.witness is None or not is_complete(H, res.witness):
-                raise InvalidWitnessError(
-                    f"t={t}: the search returned {res.witness} as a witness, "
-                    "which is not a complete coloring")
             feasible.append(t)
             witnesses[t] = res.witness
         elif res.status == "budget_exhausted":

@@ -296,7 +296,8 @@ def three_coloring(e: Embedding) -> Coloring:
     if not is_eulerian(e):
         raise EmbeddingError("triangulation has odd-degree vertices")
     res = exists_proper(Hypergraph(e.n, 2, e.edges()), 3)
-    assert res.status == "found", "even degrees must admit a 3-coloring"
+    if res.status != "found":
+        raise RuntimeError(f"Eulerian, yet the 3-coloring search says {res.status}")
     return res.witness
 
 

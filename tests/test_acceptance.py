@@ -27,6 +27,7 @@ from hypercolor import (
     is_complete,
     parse_hypergraph,
     regular15,
+    serialize_hypergraph,
     spectrum,
     split_lift,
 )
@@ -176,6 +177,8 @@ def test_criterion_6_unique_planar_gap_class():
         assert len(hits) == 1
         emb, rep = hits[0]
         H = face_hypergraph(emb)
+        # the class the ILP gate in test_ilp_gate.py refutes at t=5
+        assert serialize_hypergraph(H) == (DATA / "planar12.json").read_text()
         assert is_eulerian(emb)
         assert rep.chi == 3
         assert H.m == 20

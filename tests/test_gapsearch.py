@@ -31,7 +31,7 @@ from hypercolor.gapsearch import (
 )
 from hypercolor.solver import _proper_search
 
-from conftest import assert_trusted_edges
+from conftest import assert_trusted_edges, traced_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,6 +222,16 @@ class TestSplitSearch:
         res = split_search(5, range(4), workers=1_000_000, **kw)
         assert sizes == want
         assert res.hits == serial.hits and res.stats == serial.stats
+
+    def test_restarts_fold_as_they_finish(self, monkeypatch):
+        # a million candidates make 5,000 restarts; with each restart a
+        # stub, what the serial search holds must not grow with them
+        monkeypatch.setattr(gapsearch, "_run_restart",
+                            lambda *args: ({}, {"restarts": 1}))
+        res, peak = traced_peak(lambda: split_search(
+            6, range(6), require={3, 6}, forbid={4, 5}, budget=10 ** 6))
+        assert res.stats["restarts"] == 5000 and res.hits == ()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):

@@ -619,42 +619,49 @@ class TestSpectrum:
             assert set(spectrum(H).feasible) == naive_spectrum(H, n)
 
 
-# a search that claims an all-zero coloring, which is never complete
-_BAD_SEARCH = """
-from hypercolor import Coloring, SolveResult, solver
-
-def bad_exists_complete(H, t, **kwargs):
-    return SolveResult("found", Coloring((0,) * H.n, t), 1)
-"""
-
-
 class TestSpectrumWitnessCheck:
+    """Each query that reports a found coloring checks its witness, so a
+    check patched to reject every coloring makes each of them raise."""
+
     def test_incomplete_witness_raises(self, monkeypatch):
-        scope = {}
-        exec(_BAD_SEARCH, scope)
-        monkeypatch.setattr(solver, "exists_complete",
-                            scope["bad_exists_complete"])
-        with pytest.raises(InvalidWitnessError):
-            spectrum(complete_uniform(4, 3))
+        monkeypatch.setattr(solver, "is_complete", lambda H, c: False)
+        H = complete_uniform(4, 3)
+        for query in (lambda: solver.exists_complete(H, 4),
+                      lambda: solver.achromatic_number(H),
+                      lambda: solver.spectrum(H)):
+            with pytest.raises(InvalidWitnessError, match="not a complete"):
+                query()
+
+    def test_improper_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "is_proper", lambda H, c: False)
+        H = complete_uniform(4, 3)
+        for query in (lambda: solver.exists_proper(H, 4),
+                      lambda: solver.chromatic_number(H),
+                      lambda: solver.spectrum(H)):
+            with pytest.raises(InvalidWitnessError, match="not a proper"):
+                query()
 
     def test_check_runs_under_optimize(self):
-        # python -O strips assert statements; the witness check must stay
-        script = _BAD_SEARCH + """
+        # python -O strips assert statements; the witness checks must stay
+        script = """
 if __debug__:
     raise SystemExit("not running under -O")
-from hypercolor import InvalidWitnessError, complete_uniform
-solver.exists_complete = bad_exists_complete
-try:
-    solver.spectrum(complete_uniform(4, 3))
-except InvalidWitnessError:
-    print("rejected")
+from hypercolor import InvalidWitnessError, complete_uniform, solver
+solver.is_complete = solver.is_proper = lambda H, c: False
+H = complete_uniform(4, 3)
+for query in (lambda: solver.exists_complete(H, 4),
+              lambda: solver.exists_proper(H, 4), lambda: solver.spectrum(H)):
+    try:
+        query()
+    except InvalidWitnessError:
+        print("rejected")
 """
         src = str(Path(hypercolor.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "rejected"
+        assert proc.stdout.split() == ["rejected"] * 3
 
 
 class TestBruteForce:

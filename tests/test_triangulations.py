@@ -6,7 +6,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercolor import brute_force_spectrum, is_proper, spectrum
+from hypercolor import SolveResult, brute_force_spectrum, is_proper, spectrum
+from hypercolor import triangulations
 from hypercolor.triangulations import (
     Embedding,
     EmbeddingError,
@@ -345,6 +346,13 @@ class TestColoring:
     def test_three_coloring_rejects_odd_degrees(self):
         with pytest.raises(EmbeddingError):
             three_coloring(stacked_triangulation(5))
+
+    def test_three_coloring_raises_if_the_search_finds_none(self, monkeypatch):
+        # an explicit raise, not an assert that python -O strips
+        monkeypatch.setattr(triangulations, "exists_proper",
+                            lambda H, t: SolveResult("none", None, 0))
+        with pytest.raises(RuntimeError, match="Eulerian, yet"):
+            three_coloring(octahedron())
 
     def test_eulerian_iff_three_colorable(self):
         # both directions, over every class on up to 8 vertices
