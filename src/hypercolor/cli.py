@@ -8,7 +8,8 @@ splittings), ``tri`` (triangulation enumeration and face hypergraphs),
 byte-identical output.
 
 Exit codes: 0 when a decision was reached, 2 when a budget ran out or a
-randomized search came back empty, 1 on bad input.
+randomized search came back empty, 1 on bad input or a found witness
+that fails its check.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .constructions import (
 )
 from .solver import (
     BudgetExhaustedError,
+    InvalidWitnessError,
     achromatic_number,
     chromatic_number,
     exists_complete,
@@ -334,7 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HypergraphError, tri.EmbeddingError, ValueError, OSError) as exc:
+    except (HypergraphError, tri.EmbeddingError, InvalidWitnessError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,8 +17,7 @@ permutations preserving the split set, times copy swaps).  Otherwise it
 runs randomized restarts with single-bit local moves, sideways
 acceptance, and a tabu set of the orbit keys each restart has
 evaluated.  When the symmetry group is too large to act on the bits, the
-orbit key is the lift's canonical form, and a candidate that passes the
-screen reuses that lift.
+orbit key is the bit pattern itself; only hits get a canonical form.
 
 Determinism: restart r uses random.Random(f"{seed}:{r}") and a fixed
 candidate quota, so the hit list depends only on (seed, budget), not on
@@ -52,13 +51,12 @@ from .solver import (
 
 _MAX_BASE = 8
 
-# group-min pattern canonicalization (canonical_bits) is used while the
-# symmetry action has at most this many (base permutation, copy swap,
-# slot) cells; beyond it the lift's canonical form is the orbit key.  The
-# order-12 space (720 * 64 * 60 = 2.76M cells) stays on the canonical
-# form because it is cheaper there: canonical_bits takes 380-480 us a
-# call, canon.canonical_form 170-230 us plus 12-20 us to build the lift
-# (2-vCPU VM, the gate forced open to time canonical_bits)
+# the orbit key is the pattern's orbit minimum while the symmetry action
+# has at most this many (base permutation, copy swap, slot) cells, and the
+# pattern itself beyond.  On the order-12 space (720 * 64 * 60 = 2.76M
+# cells) the orbit minimum takes ~540 us a call against ~30 us for the chi
+# screen (2-vCPU VM); at budget 4000, seeds 0-7, the bits miss 1 of the
+# 861 repeats that the lift's canonical form caught
 _FAST_GROUP_CELLS = 1_000_000
 
 _RESTART_QUOTA = 200        # candidates per randomized restart
@@ -213,13 +211,6 @@ class _LiftSpace:
                  for mask in range(1 << s)], dtype=np.uint64)
             self.powers = (np.uint64(1) << np.arange(self.B, dtype=np.uint64))
 
-    def canonical_bits(self, bits: int) -> int:
-        """Orbit minimum of the bit pattern under the symmetry action."""
-        assert self.fast_canon
-        vec = np.array([(bits >> i) & 1 for i in range(self.B)], dtype=np.uint64)
-        words = (vec[self.src] * self.powers).sum(axis=1)   # one per base permutation
-        return int((words[:, None] ^ self.swaps[None, :]).min())
-
     def screen_data(self, bits: int) -> tuple[list[int], list[int]]:
         """Conflict masks and degrees of ``build(bits)``, from the slot bits.
 
@@ -255,12 +246,14 @@ class _LiftSpace:
         return SplitPattern(base_m=self.base_m, split=self.split,
                             lifts=lifts, k=self.k)
 
-    def orbit_key(self, bits: int) -> tuple[bytes, Hypergraph | None]:
-        """Orbit key of the pattern, plus the lift if the key needed it."""
-        if self.fast_canon:
-            return self.canonical_bits(bits).to_bytes(8, "big"), None
-        H = self.build(bits)
-        return canon.canonical_form(H), H
+    def orbit_key(self, bits: int) -> int:
+        """Orbit minimum of the bit pattern under the symmetry action, or
+        the pattern itself when the group is too large to act on it."""
+        if not self.fast_canon:
+            return bits
+        vec = np.array([(bits >> i) & 1 for i in range(self.B)], dtype=np.uint64)
+        words = (vec[self.src] * self.powers).sum(axis=1)   # one per base permutation
+        return int((words[:, None] ^ self.swaps[None, :]).min())
 
 
 @lru_cache(maxsize=8)
@@ -311,12 +304,11 @@ def _structured_bits(space: _LiftSpace, rng: random.Random, classes: int) -> int
 
 
 def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
-              stats: dict, H: Hypergraph | None = None):
+              stats: dict):
     """Run the staged pipeline on one pattern.
 
     The proper-coloring screen reads conflict masks and degrees straight
-    from the slot bits; only a pattern that passes it gets its lift,
-    unless the caller passes the one its orbit key already built.  A
+    from the slot bits; only a pattern that passes it gets its lift.  A
     pattern with no proper coloring at the screen's size, including one
     without the independent set some color class would need, counts in
     ``chi_fail``.  Returns (score, report-or-None, lift-or-None).
@@ -329,10 +321,9 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
         _screen_colors(space, target.require), _SCREEN_BUDGET, 0)
     if status != "found":
         stats["chi_fail"] += 1
-        return score, None, H
+        return score, None, None
     score += 1
-    if H is None:
-        H = space.build(bits)
+    H = space.build(bits)
     for t in sorted(target.forbid):
         if exists_complete(H, t, budget=_SCREEN_BUDGET).status != "none":
             stats[f"forbid_fail_{t}"] += 1
@@ -394,7 +385,7 @@ def _run_restart(args):
             cand = propose_fresh()
         else:
             cand = bits ^ (1 << rng.randrange(space.B))
-        cand_key, cand_H = space.orbit_key(cand)
+        cand_key = space.orbit_key(cand)
         if cand_key in tabu:
             stats["tabu_skips"] += 1
             if not fresh:
@@ -402,8 +393,7 @@ def _run_restart(args):
             continue
         tabu.add(cand_key)
         spent += 1
-        cand_score, cand_report, cand_H = _evaluate(
-            space, cand, target, stats, cand_H)
+        cand_score, cand_report, cand_H = _evaluate(space, cand, target, stats)
         if cand_report is not None:
             hits.setdefault(canon.canonical_form(cand_H), (cand, cand_report))
         if fresh or cand_score >= score:
@@ -452,7 +442,7 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     if space.B <= 62 and 2 ** space.B <= budget:
         stats["mode_exhaustive"] = 1
         for bits in range(1 << space.B):
-            if space.fast_canon and space.canonical_bits(bits) != bits:
+            if space.orbit_key(bits) != bits:
                 stats["orbit_skips"] += 1
                 continue
             _score, report, H = _evaluate(space, bits, target, stats)

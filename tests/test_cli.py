@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from hypercolor import complete_uniform, parse_hypergraph, serialize_hypergraph
+from hypercolor import (complete_uniform, parse_hypergraph, serialize_hypergraph,
+                        solver)
 from hypercolor.cli import main
 
 
@@ -108,6 +109,17 @@ class TestSolve:
                            stdin=doc, monkeypatch=monkeypatch)
         assert code == 2
         assert json.loads(out)["status"] == "budget_exhausted"
+
+    def test_rejected_witness_exit_1(self, capsys, monkeypatch):
+        # a found coloring that fails its own check is a search fault,
+        # reported on one line like bad input
+        monkeypatch.setattr(solver, "is_complete", lambda H, c: False)
+        doc = serialize_hypergraph(complete_uniform(4, 3))
+        code, out, err = run(capsys, ["solve", "-", "--t", "4"],
+                             stdin=doc, monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a complete" in err
 
     def test_budget_env_var(self, capsys, monkeypatch):
         # setting HYPERCOLOR_BUDGET changes nothing: only --budget sets one

@@ -15,10 +15,11 @@ from hypercolor import (
     independent_sets,
     parse_hypergraph,
     regular15,
+    serialize_hypergraph,
     spectrum,
     split_lift,
 )
-from hypercolor import gapsearch
+from hypercolor import canon, gapsearch
 from hypercolor.canon import canonical_form
 from hypercolor.gapsearch import (
     SpectrumTarget,
@@ -47,6 +48,11 @@ _SEARCH_DIGEST = (
 # how the screens count their rejections
 _HITS_DIGEST = (
     "b99732ee11a8c2be94c4a652abc49774f6ace3749c6ce8d1c5e470efebd6c175")
+
+# sha256 over the JSON of every hit pattern and report of the k=4 search
+# in test_split12_k4_fixture, recorded while the order-12 and k=4 spaces were keyed by canonical form
+_K4_HITS_DIGEST = (
+    "33ef79070e9ec94a2b1bef6dfa3d07353aa4090bf0c04ba4b35909b1ce39baca")
 
 
 def _pinned_searches():
@@ -159,6 +165,22 @@ class TestSplitSearch:
                 rows += [pattern.to_json(), report.to_json()]
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         assert digest == _HITS_DIGEST
+
+    def test_canonical_forms_only_for_screen_survivors(self, monkeypatch):
+        # orbit keys need no lift, so only candidates that pass the chi
+        # screen can reach canonical_form (hits, to dedupe and sort them)
+        calls = 0
+        form = canon.canonical_form
+
+        def counted(H):
+            nonlocal calls
+            calls += 1
+            return form(H)
+
+        monkeypatch.setattr(canon, "canonical_form", counted)
+        res = split_search(6, range(6), require={3, 6}, forbid={4, 5},
+                           budget=300, seed=0)
+        assert calls <= res.stats["candidates"] - res.stats["chi_fail"]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -304,7 +326,14 @@ class TestLiftSpace:
                     for i, j in enumerate(row))
                 for row in space.src.tolist()
                 for swap in range(1 << len(space.split)))
-            assert space.canonical_bits(bits) == want
+            assert space.orbit_key(bits) == want
+
+    def test_orbit_key_is_bits_on_large_groups(self):
+        # the order-12 group is too large to act on the bits
+        space = _space(6, (0, 1, 2, 3, 4, 5), 3)
+        assert not space.fast_canon
+        for bits in _patterns(space, 6, 100):
+            assert space.orbit_key(bits) == bits
 
     @pytest.mark.parametrize("base_m, split, sample, total", [
         spec + (nodes,) for spec, nodes in zip(_SPACES, _SCREEN_NODES)])
@@ -351,15 +380,10 @@ class TestLiftSpace:
         res = split_search(base_m, split, require=require, forbid=forbid,
                            budget=budget, seed=0)
         st = res.stats
-        # the order-9 space keys orbits by slot bits and screens from them,
-        # so only chi-screen survivors get a lift; the order-12 space builds
-        # one per canonical-form key (every candidate and tabu skip), which
-        # its survivors reuse; each hit is rebuilt once for validation
-        if _space(base_m, split, 3).fast_canon:
-            lifts = st["candidates"] - st["chi_fail"]
-        else:
-            lifts = st["candidates"] + st["tabu_skips"]
-        assert builds == lifts + st["hits"]
+        # orbit keys and the chi screen read the slot bits, so only
+        # chi-screen survivors get a lift; each hit is rebuilt once for
+        # validation
+        assert builds == st["candidates"] - st["chi_fail"] + st["hits"]
 
 
 # sha256 of _structured_bits for seeds 0..299 (one fresh Random(seed)
@@ -429,6 +453,24 @@ class TestCertifyGapInstance:
         v = certify_gap_instance(regular15(), {3, 6}, {4})
         assert not v["ok"]
         assert not v["target_matched"]
+
+    def test_split12_k4_fixture(self):
+        # the repo's own 4-uniform example, the first hit of a search whose
+        # group is too large to act on the slot bits: the bits are its
+        # orbit keys
+        text = (DATA / "split12_k4.json").read_text()
+        report = spectrum(parse_hypergraph(text))
+        assert report.feasible == (4, 6)
+        assert (report.chi, report.psi) == (4, 6)
+        res = split_search(6, range(6), require={4, 6}, forbid={5}, k=4,
+                           budget=3000, seed=0)
+        assert len(res.hits) == 27
+        assert serialize_hypergraph(split_lift(res.hits[0][0])) == text
+        rows = []
+        for pattern, report in res.hits:
+            rows += [pattern.to_json(), report.to_json()]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == _K4_HITS_DIGEST
 
     def test_oracle_cap_keyword_removed(self):
         H = parse_hypergraph((DATA / "order9.json").read_text())

@@ -48,7 +48,7 @@ def _instance(name):
 # complete coloring: the ILP sees the hole between two found sizes
 HOLES = {("regular15", 4): (3, 5), ("order9", 4): (3, 5),
          ("order12", 4): (3, 6), ("order12", 5): (3, 6),
-         ("planar12", 5): (4, 6)}
+         ("planar12", 5): (4, 6), ("split12_k4", 5): (4, 6)}
 
 
 @pytest.mark.parametrize("name, t", sorted(HOLES))
