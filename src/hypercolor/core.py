@@ -10,10 +10,9 @@ edges, never on per-edge Python objects or (m, k) temporaries: the
 predicates gather colors per column and sort each row with a
 compare-exchange network over the k columns.  The public constructor
 copies and validates whatever it is given, checking row order over the
-whole array and sorting only what is out of order; the package's own
-builders whose rows are canonical by construction (the grid generator,
-the split-search lifts) hand over their fresh arrays through
-``Hypergraph._trusted`` instead, which keeps them without a copy.
+whole array and sorting only what is out of order; the grid generator,
+whose rows are canonical by construction, hands over its fresh array
+through ``Hypergraph._trusted`` instead, which keeps it without a copy.
 
 Degenerate-instance conventions, used consistently across the package:
 
@@ -118,7 +117,7 @@ class Hypergraph:
 
     @classmethod
     def _trusted(cls, n: int, k: int, arr: np.ndarray) -> "Hypergraph":
-        """Wrap an edge array the package has just built, without a copy.
+        """Wrap an edge array the grid generator has just built, without a copy.
 
         ``arr`` must be an (m, k) C-contiguous array in ``_dtype_for(n)``
         whose rows are ascending, in range and in strictly increasing

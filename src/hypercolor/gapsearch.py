@@ -6,9 +6,9 @@ The first screen, properness at the smallest required t, reads the
 lift's conflict masks and degrees straight from the slot bits and runs
 the solver's own proper-coloring search on them, so most candidates
 never become a ``Hypergraph``.  Only a pattern that passes it gets its
-lift, for the forbidden values in increasing order, then the required
-values; survivors get an authoritative unlimited-budget spectrum and the
-target predicate is re-checked on that.
+lift, from the validating ``split_lift``, screened for the forbidden
+values in increasing order, then the required values; survivors get an
+authoritative unlimited-budget spectrum and the target is re-checked.
 
 Two modes share the pipeline.  When the whole lift space fits the
 candidate budget the search is exhaustive, skipping every pattern that
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import canon
 from .constructions import SplitPattern, lift_layout, split_lift
-from .core import Hypergraph, _dtype_for, covers_all, independent_sets
+from .core import Hypergraph, covers_all, independent_sets
 from .solver import (
     EnumerationCapExceeded,
     _proper_search,
@@ -149,7 +149,7 @@ class _LiftSpace:
     """Slot bits and symmetry action for one search space.
 
     One bit per (base edge, split member) slot picks the copy that edge
-    uses; the lifted vertex ids come from ``lift_layout``.
+    uses, in ``lift_layout``'s ids; ``split_lift(pattern(bits))`` lifts it.
     """
 
     def __init__(self, base_m: int, split: tuple, k: int):
@@ -212,7 +212,7 @@ class _LiftSpace:
             self.powers = (np.uint64(1) << np.arange(self.B, dtype=np.uint64))
 
     def screen_data(self, bits: int) -> tuple[list[int], list[int]]:
-        """Conflict masks and degrees of ``build(bits)``, from the slot bits.
+        """Conflict masks and degrees of the lift, from the slot bits.
 
         Lifted rows are always distinct (the copy ids identify the base
         members), so the lift keeps every row and nothing needs building.
@@ -225,19 +225,6 @@ class _LiftSpace:
                 masks[v] |= word
                 deg[v] += 1
         return [m & ~(1 << v) for v, m in enumerate(masks)], deg
-
-    def build(self, bits: int) -> Hypergraph:
-        """split_lift(self.pattern(bits)) without the SplitPattern round trip.
-
-        Each lifted row is ascending (``lift_layout`` numbers copies above
-        the unsplit vertices, in split order) and distinct lifts stay
-        distinct, so sorting the rows makes the edge array canonical and
-        it needs no validating pass.
-        """
-        rows = sorted([lifts[(bits >> first) & width][0]
-                       for first, width, lifts in self.lift_table])
-        return Hypergraph._trusted(self.n, self.k,
-                                   np.array(rows, dtype=_dtype_for(self.n)))
 
     def pattern(self, bits: int) -> SplitPattern:
         lifts = tuple(
@@ -323,7 +310,7 @@ def _evaluate(space: _LiftSpace, bits: int, target: SpectrumTarget,
         stats["chi_fail"] += 1
         return score, None, None
     score += 1
-    H = space.build(bits)
+    H = split_lift(space.pattern(bits))
     for t in sorted(target.forbid):
         if exists_complete(H, t, budget=_SCREEN_BUDGET).status != "none":
             stats[f"forbid_fail_{t}"] += 1
@@ -357,16 +344,15 @@ def _validate_hit(H: Hypergraph, report, target: SpectrumTarget) -> bool:
 
 
 def _run_restart(args):
-    base_m, split, k, require, forbid, seed, budget, restart_idx = args
+    base_m, split, k, target, seed, budget, restart_idx = args
     quota = min(_RESTART_QUOTA, budget - restart_idx * _RESTART_QUOTA)
     space = _space(base_m, split, k)
-    target = SpectrumTarget(frozenset(require), frozenset(forbid))
     rng = random.Random(f"{seed}:{restart_idx}")
     stats = defaultdict(int)
     stats["restarts"] = 1
     tabu = set()     # at most quota keys, one per evaluated candidate
     hits = {}
-    classes = _screen_colors(space, require)
+    classes = _screen_colors(space, target.require)
 
     def propose_fresh() -> int:
         if rng.random() < 0.7:
@@ -451,8 +437,7 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     else:
         stats["mode_randomized"] = 1
         restarts = -(-budget // _RESTART_QUOTA)
-        jobs = ((base_m, split, k, tuple(sorted(target.require)),
-                 tuple(sorted(target.forbid)), seed, budget, r)
+        jobs = ((base_m, split, k, target, seed, budget, r)
                 for r in range(restarts))
         # the pool forks all its workers up front
         pool_size = min(workers, restarts, os.cpu_count() or 1)
@@ -469,8 +454,7 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     out = []
     for key in sorted(hits):
         bits, report = hits[key]
-        # the emitted pattern is re-lifted by the validating constructor,
-        # not by the search's own trusted builder
+        # restarts return bits (a Hypergraph does not pickle): lift again
         pattern = space.pattern(bits)
         if not _validate_hit(split_lift(pattern), report, target):
             stats["validation_rejects"] += 1

@@ -16,7 +16,9 @@ neighbor (the domain-aware matching of Regin's alldifferent filter,
 used as forward checking).  ``_Hall`` repairs one such matching from
 node to node.  The prune cuts only subtrees without a complete leaf and
 the visiting order is unchanged, so answers and witnesses do not depend
-on ``cover_prune``, and it never adds nodes.
+on ``cover_prune``, and it never adds nodes.  Where fewer vertices are
+uncolored than colors unopened, Hall's condition fails, so the class
+bound (``used + n - i < t``) cuts only when ``cover_prune`` is off.
 
 Apart from that repair, each assignment costs constant work per incident
 edge and neighbor: every edge keeps a bitmask of its colors, a table

@@ -110,6 +110,14 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["status"] == "budget_exhausted"
 
+    @pytest.mark.parametrize("query", ["chi", "psi"])
+    def test_number_budget_exhaustion_exit_2(self, capsys, monkeypatch, query):
+        doc = serialize_hypergraph(complete_uniform(8, 2))
+        code, out, _ = run(capsys, ["solve", "-", f"--{query}", "--budget", "1"],
+                           stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == f'{{"query":"{query}","status":"budget_exhausted"}}\n'
+
     def test_rejected_witness_exit_1(self, capsys, monkeypatch):
         # a found coloring that fails its own check is a search fault,
         # reported on one line like bad input
@@ -254,6 +262,12 @@ class TestSearch:
                                       "--split", "0,1,2,3"] + args)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_malformed_list_exit_1(self, capsys):
+        code, out, err = run(capsys, ["search", "split", "--base", "5",
+                                      "--split", "0,x", "--require", "3"])
+        assert code == 1 and out == ""
+        assert err == "error: expected comma-separated integers, got '0,x'\n"
 
     def test_deterministic_bytes(self, capsys):
         argv = ["search", "split", "--base", "5", "--split", "0,1,2,3",

@@ -584,6 +584,9 @@ PARSE_CORPUS = [
     '{"k":2,"n":9223372036854775807,"edges":[[0,9223372036854775807]]}',
     '{"k":2,"n":9223372036854775807,"edges":[[0,9999999999999999999]]}',
     '{"k":2,"n":57,"edges":[[0,56],[0,60]]}', '{"k":2,"n":3,"edges":[[0,1],[],[1,2]]}',
+    # the right number of ids and brackets, in the wrong order: a bare id
+    # after a short row, and rows of 2 and 4 ids whose count fits k=3
+    '{"k":2,"n":3,"edges":[[0],1]}', '{"k":3,"n":9,"edges":[[0,1],[2,3,4,5]]}',
 ]
 
 

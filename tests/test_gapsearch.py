@@ -32,7 +32,7 @@ from hypercolor.gapsearch import (
 )
 from hypercolor.solver import _proper_search
 
-from conftest import assert_trusted_edges, traced_peak
+from conftest import traced_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -290,25 +290,13 @@ def _patterns(space, base_m, sample):
 
 
 class TestLiftSpace:
-    """The search builds lifts from slot bits; split_lift from patterns."""
-
-    @pytest.mark.parametrize("base_m, split, sample", _SPACES)
-    def test_build_matches_split_lift(self, base_m, split, sample):
-        space = _space(base_m, split, 3)
-        for bits in _patterns(space, base_m, sample):
-            assert space.build(bits) == split_lift(space.pattern(bits))
-
-    @pytest.mark.parametrize("base_m, split, sample", _SPACES)
-    def test_build_trusted_edges(self, base_m, split, sample):
-        space = _space(base_m, split, 3)
-        for bits in _patterns(space, base_m, sample):
-            assert_trusted_edges(space.build(bits))
+    """The screens and orbit keys read slot bits; split_lift builds lifts."""
 
     @pytest.mark.parametrize("base_m, split, sample", _SPACES)
     def test_screen_data_matches_lift(self, base_m, split, sample):
         space = _space(base_m, split, 3)
         for bits in _patterns(space, base_m, sample):
-            H = space.build(bits)
+            H = split_lift(space.pattern(bits))
             masks, deg = space.screen_data(bits)
             assert tuple(masks) == H.conflict_masks()
             assert deg == H.degrees().tolist()
@@ -346,7 +334,8 @@ class TestLiftSpace:
             masks, deg = space.screen_data(bits)
             got = _proper_search(space.n, len(space.rows), 3, masks, deg, 3,
                                  200_000, 0)
-            res = exists_proper(space.build(bits), 3, budget=200_000)
+            res = exists_proper(split_lift(space.pattern(bits)), 3,
+                                budget=200_000)
             witness = res.witness.colors if res.witness else None
             assert (got[0], got[2]) == (res.status, res.nodes)
             assert (tuple(got[1]) if got[1] else None) == witness
@@ -359,8 +348,9 @@ class TestLiftSpace:
     ])
     def test_one_build_per_candidate(self, monkeypatch, base_m, split,
                                      require, forbid, budget):
-        # count at both construction seams: the validating constructor
-        # and the trusted path the lift builder takes
+        # count at both construction seams: the validating constructor,
+        # which split_lift takes, and the trusted path, which only the grid
+        # generator takes
         builds = 0
         init = Hypergraph.__init__
         trusted = Hypergraph._trusted
@@ -422,7 +412,7 @@ class TestScreens:
             stats = collections.defaultdict(int)
             _evaluate(space, bits, target, stats)
             assert "screen_fail" not in stats
-            if not independent_sets(space.build(bits), need):
+            if not independent_sets(split_lift(space.pattern(bits)), need):
                 assert stats["chi_fail"] == 1
                 missing += 1
         assert 0 < missing < 60

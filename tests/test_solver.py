@@ -238,6 +238,26 @@ class TestSearchTree:
         res = _solve("grid36", 9, cover_prune=False)
         assert (res.status, res.nodes) == ("none", 131_840)
 
+    def test_class_bound_cuts_without_cover_prune(self):
+        # the class bound cuts only the prune-off tree (68 nodes here, 69
+        # without the bound).  With u uncolored vertices and d > u
+        # unopened colors, Hall's condition has failed in the parent: for
+        # d >= k the C(d, k) subsets of unopened colors need distinct
+        # edges with no colored vertex, of which there are at most C(u, k);
+        # for d < k a subset holding all d unopened colors needs an edge
+        # with d uncolored vertices, and none exists
+        H = Hypergraph(11, 2, [
+            (3, 7), (2, 8), (6, 9), (2, 6), (1, 2), (6, 10), (3, 8), (2, 5),
+            (5, 10), (1, 10), (3, 10), (1, 3), (1, 7), (0, 3), (1, 4), (4, 10),
+            (6, 7), (0, 4), (8, 9), (2, 7), (1, 6), (0, 9), (2, 10), (8, 10),
+            (4, 7), (3, 4), (9, 10), (1, 8), (3, 6), (5, 6), (7, 9), (0, 7),
+            (5, 8), (3, 5), (5, 7), (2, 3), (4, 6), (5, 9), (4, 9), (0, 5),
+            (4, 8), (7, 8), (2, 9), (0, 8), (0, 10), (0, 6)])
+        off = exists_complete(H, 9, cover_prune=False, seed=0)
+        on = exists_complete(H, 9, seed=0)
+        assert (off.status, off.nodes) == ("none", 68)
+        assert (on.status, on.nodes) == ("none", 7)
+
     def test_pinned_witness(self):
         res = _solve("grid36", 6)
         assert res.witness.colors == (0, 3, 5, 4, 2, 1) * 3
