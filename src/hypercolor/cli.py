@@ -140,10 +140,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_search_split(args) -> int:
     budget = _budget(args, 20_000)
+    split, require, forbid = map(_int_list, (args.split, args.require, args.forbid))
     result = gapsearch.split_search(
-        args.base, _int_list(args.split),
-        require=_int_list(args.require) if args.require else (),
-        forbid=_int_list(args.forbid) if args.forbid else (),
+        args.base, split, require=require, forbid=forbid,
         k=args.k, budget=budget, seed=args.seed, workers=args.workers)
 
     hit_docs = []
@@ -157,9 +156,9 @@ def _cmd_search_split(args) -> int:
         })
     summary = {
         "base": args.base,
-        "split": _int_list(args.split),
-        "require": _int_list(args.require) if args.require else [],
-        "forbid": _int_list(args.forbid) if args.forbid else [],
+        "split": split,
+        "require": require,
+        "forbid": forbid,
         "budget": budget,
         "seed": args.seed,
         "hits": hit_docs,

@@ -12,12 +12,11 @@ authoritative unlimited-budget spectrum and the target is re-checked.
 
 Two modes share the pipeline.  When the whole lift space fits the
 candidate budget the search is exhaustive, skipping every pattern that
-is not the canonical representative of its symmetry orbit (base-vertex
-permutations preserving the split set, times copy swaps).  Otherwise it
-runs randomized restarts with single-bit local moves, sideways
-acceptance, and a tabu set of the orbit keys each restart has
-evaluated.  When the symmetry group is too large to act on the bits, the
-orbit key is the bit pattern itself; only hits get a canonical form.
+is not the minimum of its symmetry orbit (base-vertex permutations
+preserving the split set, times copy swaps).  Otherwise it runs
+randomized restarts with single-bit local moves, sideways acceptance,
+and a tabu set of the slot bits each restart has evaluated; they never
+build the symmetry group.  Only hits get a canonical form.
 
 Determinism: restart r uses random.Random(f"{seed}:{r}") and a fixed
 candidate quota, so the hit list depends only on (seed, budget), not on
@@ -33,7 +32,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -50,14 +49,6 @@ from .solver import (
 )
 
 _MAX_BASE = 8
-
-# the orbit key is the pattern's orbit minimum while the symmetry action
-# has at most this many (base permutation, copy swap, slot) cells, and the
-# pattern itself beyond.  On the order-12 space (720 * 64 * 60 = 2.76M
-# cells) the orbit minimum takes ~540 us a call against ~30 us for the chi
-# screen (2-vCPU VM); at budget 4000, seeds 0-7, the bits miss 1 of the
-# 861 repeats that the lift's canonical form caught
-_FAST_GROUP_CELLS = 1_000_000
 
 _RESTART_QUOTA = 200        # candidates per randomized restart
 _SCREEN_BUDGET = 200_000    # node budget of each screening search
@@ -146,70 +137,56 @@ def structural_filters(H: Hypergraph) -> StructuralFeatures:
 
 
 class _LiftSpace:
-    """Slot bits and symmetry action for one search space.
+    """Slot bits of one search space, and their symmetry action.
 
     One bit per (base edge, split member) slot picks the copy that edge
     uses, in ``lift_layout``'s ids; ``split_lift(pattern(bits))`` lifts it.
+    Only the exhaustive scan reads ``group``, so it is built on first use.
     """
 
     def __init__(self, base_m: int, split: tuple, k: int):
         self.base_m = base_m
         self.split = tuple(sorted(split))
         self.k = k
-        split_set = set(self.split)
-        self.base_edges = list(combinations(range(base_m), k))
-        self.edge_index = {e: j for j, e in enumerate(self.base_edges)}
         self.n, self.rows = lift_layout(base_m, self.split, k)
-
-        self.slots = []           # (edge index, base vertex), split members only
-        self.slot_index = {}
-        self.edge_slots = []      # per edge: slot ids, one per copy-0 id
-        for j, e in enumerate(self.base_edges):
-            sl = []
-            for v in e:
-                if v in split_set:
-                    self.slot_index[(j, v)] = len(self.slots)
-                    sl.append(len(self.slots))
-                    self.slots.append((j, v))
-            self.edge_slots.append(sl)
-        self.B = len(self.slots)
 
         # per edge: its slots are consecutive, so (bits >> first) & width
         # picks one of its lifts, each (ascending lifted row, members' bits)
         self.lift_table = []
-        for (fixed, copies), sl in zip(self.rows, self.edge_slots):
+        first = 0
+        for fixed, copies in self.rows:
             lifts = []
-            for combo in range(1 << len(sl)):
+            for combo in range(1 << len(copies)):
                 row = tuple(fixed + [c + ((combo >> i) & 1)
                                      for i, c in enumerate(copies)])
                 lifts.append((row, sum(1 << v for v in row)))
-            first, width = (sl[0] if sl else 0), (1 << len(sl)) - 1
-            self.lift_table.append((first, width, lifts))
+            self.lift_table.append((first, (1 << len(copies)) - 1, lifts))
+            first += len(copies)
+        self.B = first
 
-        # symmetry action on slot bits: base permutations preserving the
-        # split set, composed with per-vertex copy swaps
-        sigmas = [p for p in permutations(range(base_m))
+    @cached_property
+    def group(self) -> tuple:
+        """Symmetry action on slot bits: base permutations preserving the
+        split set, composed with per-vertex copy swaps.  Returns (dst,
+        swaps): per permutation, the slot each slot's bit moves to; per
+        copy-swap set, the slot bits it flips, as one word."""
+        split_set = set(self.split)
+        base_edges = list(combinations(range(self.base_m), self.k))
+        edge_index = {e: j for j, e in enumerate(base_edges)}
+        slots = [(j, v) for j, e in enumerate(base_edges)
+                 for v in e if v in split_set]
+        slot_index = {slot: i for i, slot in enumerate(slots)}
+        sigmas = [p for p in permutations(range(self.base_m))
                   if {p[v] for v in self.split} == split_set]
-        s = len(self.split)
-        self.group_cells = len(sigmas) * (1 << s) * max(self.B, 1)
-        self.fast_canon = self.B <= 63 and self.group_cells <= _FAST_GROUP_CELLS
-        if self.fast_canon:
-            src = np.empty((len(sigmas), self.B), dtype=np.intp)
-            for si, p in enumerate(sigmas):
-                inv = [0] * base_m
-                for v, img in enumerate(p):
-                    inv[img] = v
-                for i2, (j2, v2) in enumerate(self.slots):
-                    e_old = tuple(sorted(inv[w] for w in self.base_edges[j2]))
-                    src[si, i2] = self.slot_index[(self.edge_index[e_old], inv[v2])]
-            self.src = src
-            rank = {v: p for p, v in enumerate(self.split)}
-            ranks = [rank[v] for (_j, v) in self.slots]
-            # per copy-swap set: the slot bits it flips, as one word
-            self.swaps = np.array(
-                [sum(1 << i for i, r in enumerate(ranks) if (mask >> r) & 1)
-                 for mask in range(1 << s)], dtype=np.uint64)
-            self.powers = (np.uint64(1) << np.arange(self.B, dtype=np.uint64))
+        dst = np.array(
+            [[slot_index[(edge_index[tuple(sorted(p[w] for w in base_edges[j]))],
+                          p[v])] for j, v in slots] for p in sigmas],
+            dtype=np.uint64)
+        swaps = np.array(
+            [sum(1 << i for i, (_j, v) in enumerate(slots)
+                 if (mask >> self.split.index(v)) & 1)
+             for mask in range(1 << len(self.split))], dtype=np.uint64)
+        return dst, swaps
 
     def screen_data(self, bits: int) -> tuple[list[int], list[int]]:
         """Conflict masks and degrees of the lift, from the slot bits.
@@ -228,19 +205,17 @@ class _LiftSpace:
 
     def pattern(self, bits: int) -> SplitPattern:
         lifts = tuple(
-            tuple((bits >> slot) & 1 for slot in self.edge_slots[j])
-            for j in range(len(self.base_edges)))
+            tuple((bits >> (first + i)) & 1 for i in range(width.bit_length()))
+            for first, width, _lifts in self.lift_table)
         return SplitPattern(base_m=self.base_m, split=self.split,
                             lifts=lifts, k=self.k)
 
-    def orbit_key(self, bits: int) -> int:
-        """Orbit minimum of the bit pattern under the symmetry action, or
-        the pattern itself when the group is too large to act on it."""
-        if not self.fast_canon:
-            return bits
+    def orbit_min(self, bits: int) -> int:
+        """Smallest slot bits in the orbit of `bits` under ``group``."""
+        dst, swaps = self.group
         vec = np.array([(bits >> i) & 1 for i in range(self.B)], dtype=np.uint64)
-        words = (vec[self.src] * self.powers).sum(axis=1)   # one per base permutation
-        return int((words[:, None] ^ self.swaps[None, :]).min())
+        words = (vec << dst).sum(axis=1)   # one per base permutation
+        return int((words[:, None] ^ swaps[None, :]).min())
 
 
 @lru_cache(maxsize=8)
@@ -350,7 +325,7 @@ def _run_restart(args):
     rng = random.Random(f"{seed}:{restart_idx}")
     stats = defaultdict(int)
     stats["restarts"] = 1
-    tabu = set()     # at most quota keys, one per evaluated candidate
+    tabu = set()     # slot bits of every candidate this restart evaluated
     hits = {}
     classes = _screen_colors(space, target.require)
 
@@ -371,13 +346,12 @@ def _run_restart(args):
             cand = propose_fresh()
         else:
             cand = bits ^ (1 << rng.randrange(space.B))
-        cand_key = space.orbit_key(cand)
-        if cand_key in tabu:
+        if cand in tabu:
             stats["tabu_skips"] += 1
             if not fresh:
                 stalled += 1
             continue
-        tabu.add(cand_key)
+        tabu.add(cand)
         spent += 1
         cand_score, cand_report, cand_H = _evaluate(space, cand, target, stats)
         if cand_report is not None:
@@ -396,14 +370,15 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     """Find split patterns whose lifted hypergraph matches the target.
 
     budget counts candidate evaluations.  When 2**slots <= budget the
-    whole space is scanned once (canonical orbit representatives only);
-    otherwise randomized restarts of `_RESTART_QUOTA` candidates each run
-    until the budget is spent, in a pool of min(workers, restarts, CPUs)
-    processes when that is above 1.  Restarts are folded in order as they
-    finish; a pool submits them all up front, a serial search one by one.
-    Hits are deduplicated by hypergraph canonical form, re-validated
-    independently, and returned sorted by canonical form, so the outcome
-    is a function of (seed, budget) alone.  k < 2 and negative sizes raise
+    whole space is scanned once (orbit minima only); otherwise randomized
+    restarts of `_RESTART_QUOTA` candidates each, with a tabu set of the
+    slot bits they evaluated, run until the budget is spent, in a pool of
+    min(workers, restarts, CPUs) processes when that is above 1.  Restarts
+    are folded in order as they finish; a pool submits them all up front,
+    a serial search one by one.  Hits are deduplicated by hypergraph
+    canonical form, re-validated independently, and returned sorted by
+    canonical form, so the outcome is a function of (seed, budget) alone.
+    k < 2, negative sizes and a budget or worker count below 1 raise
     ValueError; a required size no lift can have (0, or more than its
     vertex count) yields no hits.
     """
@@ -418,6 +393,8 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
         raise ValueError("split vertices must be distinct")
     if split and not (0 <= split[0] and split[-1] < base_m):
         raise ValueError(f"split vertices must lie in 0..{base_m - 1}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     target = SpectrumTarget(frozenset(require), frozenset(forbid))
@@ -428,7 +405,7 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
     if space.B <= 62 and 2 ** space.B <= budget:
         stats["mode_exhaustive"] = 1
         for bits in range(1 << space.B):
-            if space.orbit_key(bits) != bits:
+            if space.orbit_min(bits) != bits:
                 stats["orbit_skips"] += 1
                 continue
             _score, report, H = _evaluate(space, bits, target, stats)

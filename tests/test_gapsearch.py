@@ -37,11 +37,11 @@ from conftest import traced_peak
 DATA = Path(__file__).parent / "data"
 
 # sha256 over sorted stats and the JSON of every hit pattern and report of
-# the searches in _pinned_searches, re-recorded when the independent-set
-# screen went: its rejections now count in chi_fail, which moves the local
-# search's stats but not its hits (see _HITS_DIGEST)
+# the searches in _pinned_searches, re-recorded when the restarts' tabu set
+# was keyed by slot bits in place of orbit minima: that moves the order-9
+# searches' stats but not their hits (see _HITS_DIGEST)
 _SEARCH_DIGEST = (
-    "3d0401870a0615b459c0282a25a99c447d2151bdefc2875c37656516319c0962")
+    "299786f0703a4f5385067ac935dfe79a1f6e2d506e29d4103d674c42efcb24d0")
 
 # sha256 over only the JSON of every hit pattern and report of the
 # searches in _pinned_searches: the hits, without the stats that depend on
@@ -53,6 +53,11 @@ _HITS_DIGEST = (
 # in test_split12_k4_fixture, recorded while the order-12 and k=4 spaces were keyed by canonical form
 _K4_HITS_DIGEST = (
     "33ef79070e9ec94a2b1bef6dfa3d07353aa4090bf0c04ba4b35909b1ce39baca")
+
+# sha256 over the JSON of every hit pattern and report of the exhaustive
+# split_search(4, (0, 1, 2), require={4}, budget=512)
+_EXHAUSTIVE_HITS_DIGEST = (
+    "b66d44b7e70d9c39e26b29c6150dac5f76b3d181467d11b4ad80c9777a5fb398")
 
 
 def _pinned_searches():
@@ -167,8 +172,9 @@ class TestSplitSearch:
         assert digest == _HITS_DIGEST
 
     def test_canonical_forms_only_for_screen_survivors(self, monkeypatch):
-        # orbit keys need no lift, so only candidates that pass the chi
-        # screen can reach canonical_form (hits, to dedupe and sort them)
+        # tabu keys are slot bits and need no lift, so only candidates that
+        # pass the chi screen can reach canonical_form (hits, to dedupe and
+        # sort them)
         calls = 0
         form = canon.canonical_form
 
@@ -255,6 +261,43 @@ class TestSplitSearch:
         assert res.stats["restarts"] == 5000 and res.hits == ()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        # a search that evaluates nothing must not read as one that found
+        # nothing
+        with pytest.raises(ValueError, match="budget"):
+            split_search(5, range(4), require={3, 5}, forbid={4},
+                         budget=budget)
+
+    def test_randomized_search_builds_no_group(self, monkeypatch):
+        # only the exhaustive scan reads the symmetry group; restarts key
+        # their tabu set by the slot bits
+        def refuse(*args):
+            raise AssertionError("randomized search enumerated permutations")
+
+        monkeypatch.setattr(gapsearch, "permutations", refuse)
+        _space.cache_clear()
+        try:
+            res = split_search(5, range(4), require={3, 5}, forbid={4},
+                               budget=400)
+        finally:
+            _space.cache_clear()
+        assert res.stats["mode_randomized"] == 1
+        assert res.stats["candidates"] == 400
+
+    def test_exhaustive_stats_and_hits_pinned(self):
+        # recorded before the restarts' tabu set was keyed by slot bits:
+        # the exhaustive scan still skips every pattern that is not its
+        # orbit minimum
+        res = split_search(4, (0, 1, 2), require={4}, budget=512)
+        assert res.stats == {"mode_exhaustive": 1, "orbit_skips": 496,
+                             "candidates": 16, "hits": 13}
+        rows = []
+        for pattern, report in res.hits:
+            rows += [pattern.to_json(), report.to_json()]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == _EXHAUSTIVE_HITS_DIGEST
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -290,7 +333,7 @@ def _patterns(space, base_m, sample):
 
 
 class TestLiftSpace:
-    """The screens and orbit keys read slot bits; split_lift builds lifts."""
+    """The screens and orbit minima read slot bits; split_lift builds lifts."""
 
     @pytest.mark.parametrize("base_m, split, sample", _SPACES)
     def test_screen_data_matches_lift(self, base_m, split, sample):
@@ -305,23 +348,20 @@ class TestLiftSpace:
         (4, (0, 1), None), (5, (0, 1, 2, 3), 40)])
     def test_canonical_bits_matches_loop(self, base_m, split, sample):
         # orbit minimum over every base permutation and copy-swap set,
-        # one slot at a time
+        # one slot at a time; slot i belongs to split vertex slot_vertex[i]
         space = _space(base_m, split, 3)
         rank = {v: p for p, v in enumerate(space.split)}
+        slot_vertex = [v for e in itertools.combinations(range(base_m), 3)
+                       for v in e if v in rank]
+        dst, _swaps = space.group
+        assert dst.shape[1] == len(slot_vertex) == space.B
         for bits in _patterns(space, base_m, sample):
             want = min(
-                sum((((bits >> j) ^ (swap >> rank[space.slots[i][1]])) & 1) << i
-                    for i, j in enumerate(row))
-                for row in space.src.tolist()
+                sum((((bits >> i) ^ (swap >> rank[slot_vertex[d]])) & 1) << d
+                    for i, d in enumerate(row))
+                for row in dst.tolist()
                 for swap in range(1 << len(space.split)))
-            assert space.orbit_key(bits) == want
-
-    def test_orbit_key_is_bits_on_large_groups(self):
-        # the order-12 group is too large to act on the bits
-        space = _space(6, (0, 1, 2, 3, 4, 5), 3)
-        assert not space.fast_canon
-        for bits in _patterns(space, 6, 100):
-            assert space.orbit_key(bits) == bits
+            assert space.orbit_min(bits) == want
 
     @pytest.mark.parametrize("base_m, split, sample, total", [
         spec + (nodes,) for spec, nodes in zip(_SPACES, _SCREEN_NODES)])
@@ -370,7 +410,7 @@ class TestLiftSpace:
         res = split_search(base_m, split, require=require, forbid=forbid,
                            budget=budget, seed=0)
         st = res.stats
-        # orbit keys and the chi screen read the slot bits, so only
+        # tabu keys and the chi screen read the slot bits, so only
         # chi-screen survivors get a lift; each hit is rebuilt once for
         # validation
         assert builds == st["candidates"] - st["chi_fail"] + st["hits"]
@@ -445,9 +485,8 @@ class TestCertifyGapInstance:
         assert not v["target_matched"]
 
     def test_split12_k4_fixture(self):
-        # the repo's own 4-uniform example, the first hit of a search whose
-        # group is too large to act on the slot bits: the bits are its
-        # orbit keys
+        # the repo's own 4-uniform example, the first hit of a randomized
+        # search, whose restarts key their tabu set by the slot bits
         text = (DATA / "split12_k4.json").read_text()
         report = spectrum(parse_hypergraph(text))
         assert report.feasible == (4, 6)
