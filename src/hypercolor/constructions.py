@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -263,14 +264,15 @@ class SplitPattern:
             raise DocumentError(str(exc)) from exc
 
 
-def lift_layout(base_m: int, split, k: int) -> tuple[int, list]:
+@lru_cache(maxsize=64)
+def lift_layout(base_m: int, split: tuple, k: int) -> tuple[int, tuple]:
     """Vertex ids of every lift of the complete k-uniform base on base_m.
 
     Unsplit vertices keep the low ids in base order; copy b of the p-th
     split vertex gets id u + 2p + b, where u counts the unsplit vertices.
     Returns (n, rows) with one row per base edge in lexicographic order:
     the ids of the edge's unsplit members, and the copy-0 id of each of
-    its split members in ascending order.
+    its split members in ascending order; tuples, as callers share them.
     """
     split = sorted(split)
     split_set = set(split)
@@ -278,9 +280,9 @@ def lift_layout(base_m: int, split, k: int) -> tuple[int, list]:
     u = len(unsplit)
     lifted = {v: i for i, v in enumerate(unsplit)}
     lifted.update((v, u + 2 * p) for p, v in enumerate(split))
-    rows = [([lifted[v] for v in e if v not in split_set],
-             [lifted[v] for v in e if v in split_set])
-            for e in combinations(range(base_m), k)]
+    rows = tuple((tuple(lifted[v] for v in e if v not in split_set),
+                  tuple(lifted[v] for v in e if v in split_set))
+                 for e in combinations(range(base_m), k))
     return u + 2 * len(split), rows
 
 
@@ -293,6 +295,6 @@ def split_lift(pattern: SplitPattern) -> Hypergraph:
     copies may be isolated but still count as vertices.
     """
     n, rows = lift_layout(pattern.base_m, pattern.split, pattern.k)
-    edges = [fixed + [c + b for c, b in zip(copies, lift)]
+    edges = [fixed + tuple(c + b for c, b in zip(copies, lift))
              for (fixed, copies), lift in zip(rows, pattern.lifts)]
     return Hypergraph(n, pattern.k, edges)

@@ -157,8 +157,8 @@ class _LiftSpace:
         for fixed, copies in self.rows:
             lifts = []
             for combo in range(1 << len(copies)):
-                row = tuple(fixed + [c + ((combo >> i) & 1)
-                                     for i, c in enumerate(copies)])
+                row = fixed + tuple(c + ((combo >> i) & 1)
+                                    for i, c in enumerate(copies))
                 lifts.append((row, sum(1 << v for v in row)))
             self.lift_table.append((first, (1 << len(copies)) - 1, lifts))
             first += len(copies)

@@ -31,9 +31,9 @@ so a run is reproducible across machines.  The seed only permutes
 vertices of equal degree in the search order; results (found / none) are
 seed-independent, witnesses need not be.
 
-``brute_force_spectrum`` is the independent oracle: it enumerates every
-assignment by mixed-radix counting in numpy chunks and never shares
-state with the search.
+``brute_force_spectrum`` is the independent oracle: it enumerates one
+assignment per color renaming, the restricted growth strings, by
+unranking them in numpy chunks, and never shares state with the search.
 """
 
 from __future__ import annotations
@@ -664,17 +664,46 @@ def spectrum(H: Hypergraph, *,
 
 # -- brute-force oracle ------------------------------------------------
 
-_BRUTE_CHUNK = 1_000_000   # assignments decoded per numpy pass
+_BRUTE_CHUNK = 1_000_000   # growth strings unranked per numpy pass
+
+
+def _growth_strings(n: int, t: int):
+    """The S(n, t) length-n strings over t colors in which color c first
+    appears after c - 1 does, in int8 chunks of ``_BRUTE_CHUNK`` rows."""
+    # ways[j][b]: completions of positions j.. that reach exactly t
+    # colors when b are in use; rank order puts old colors before new
+    ways = [[0] * t + [1, 0]]
+    for _ in range(n):
+        ways.insert(0, [b * ways[0][b] + ways[0][b + 1] for b in range(t + 1)] + [0])
+    after = np.array([row[:t + 1] for row in ways[1:]], dtype=np.int64)
+    cut = after * np.arange(t + 1)     # ranks below reuse an old color
+    step = np.maximum(after, 1)        # never divides a new-color rank
+    for lo in range(0, ways[0][0], _BRUTE_CHUNK):
+        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, ways[0][0]), dtype=np.int64)
+        used = np.zeros(len(idx), dtype=np.int64)
+        A = np.empty((len(idx), n), dtype=np.int8)
+        for j in range(n):   # by column: no (chunk, n) int64 temporaries
+            c = cut[j, used]
+            old = idx < c
+            q, r = np.divmod(idx, step[j, used])
+            A[:, j] = np.where(old, q, used)
+            idx = np.where(old, r, idx - c)
+            used += ~old
+        yield A
 
 
 def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
                          cap: int = 100_000_000) -> set[int]:
-    """Feasible t values by enumerating every assignment, for cross-checks.
+    """Feasible t values by enumerating every coloring, for cross-checks.
 
-    Scans all t**n color assignments for each t from k to t_max (default:
-    the counting bound).  Refuses with :class:`EnumerationCapExceeded`
-    when the assignment count passes ``cap``; raise the cap explicitly for
-    a bigger run.  Completely independent of the backtracking search.
+    Scans one coloring per renaming of the t colors, for each t from k to
+    t_max (default: the counting bound): the restricted growth strings.
+    That is exact, and all it takes on trust: renaming maps proper
+    complete colorings to proper complete colorings, and each surjective
+    coloring has one renaming whose colors first appear as 0, 1, 2, ....
+    Refuses with :class:`EnumerationCapExceeded` when the sum of t**n
+    over those t passes ``cap``; raise the cap explicitly for a bigger
+    run.  Shares no code or state with the backtracking search.
     """
     if t_max is None:
         t_max = psi_upper_bound(H)
@@ -699,24 +728,7 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
             for i in range(k):
                 tab[c, i] = math.comb(c, i + 1)
         offsets = np.arange(k)
-        found = False
-        powers = np.array([t ** j for j in range(n)], dtype=np.int64)
-        for lo in range(0, t ** n, _BRUTE_CHUNK):
-            hi = min(lo + _BRUTE_CHUNK, t ** n)
-            # decode one digit column at a time: a whole-chunk decode
-            # makes (chunk, n) int64 quotient and remainder temporaries
-            idx = np.arange(lo, hi, dtype=np.int64)
-            A = np.empty((hi - lo, n), dtype=np.int8)
-            for j in range(n):
-                A[:, j] = idx // powers[j] % t
-            keep = np.ones(len(idx), dtype=bool)
-            for c in range(t):  # surjectivity
-                keep &= (A == c).any(axis=1)
-                if not keep.any():
-                    break
-            if not keep.any():
-                continue
-            A = A[keep]
+        for A in _growth_strings(n, t):
             ok = np.ones(A.shape[0], dtype=bool)
             for e in edges:  # properness
                 cols = A[:, e]
@@ -734,8 +746,6 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
             ranks.sort(axis=1)
             distinct = (np.diff(ranks, axis=1) > 0).sum(axis=1) + 1
             if bool((distinct == total).any()):
-                found = True
+                out.add(t)
                 break
-        if found:
-            out.add(t)
     return out

@@ -15,13 +15,15 @@ from conftest import enumerate_by_insertion
 
 @pytest.mark.slow
 def test_regular15_no_complete_4_by_full_enumeration():
-    # all 4**15 assignments, streamed in chunks
+    # S(15, 3) + S(15, 4) = 44.7M growth strings, one per renaming of
+    # the 3**15 + 4**15 assignments the cap counts, streamed in chunks
     assert brute_force_spectrum(regular15(), 4, cap=2_000_000_000) == {3}
 
 
 @pytest.mark.slow
 def test_counterexample_gap_by_full_enumeration():
-    # all 5**12 assignments for the unique planar hit
+    # S(12, 3) + S(12, 4) + S(12, 5) = 2.08M growth strings for the
+    # unique planar hit, one per renaming of its assignments
     emb, _ = find_gap_face_hypergraphs(12)[0]
     H = face_hypergraph(emb)
     assert brute_force_spectrum(H, 5, cap=300_000_000) == {3, 4}

@@ -707,16 +707,77 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        # 3**5 and 4**5 assignments split across passes of the scan
+        # S(5, 3) = 25 and S(5, 4) = 10 growth strings split across
+        # passes of the scan
         H = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         want = brute_force_spectrum(H)
         monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
         assert brute_force_spectrum(H) == want == {3}
 
+    def test_matches_definition(self, monkeypatch):
+        # naive_spectrum tries every one of the t**n assignments and reads
+        # only the hypergraph's edges; no complete t-coloring exists past
+        # n colors or with fewer edges than k-subsets of colors, so the
+        # reference stops there
+        rng = random.Random(24)
+        cases = [(Hypergraph(k, k, [tuple(range(k))]), t_max)
+                 for k in (2, 3, 4) for t_max in (None, k + 2)]
+        for _ in range(30):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(k, 7)
+            H = random_uniform_hypergraph(
+                rng, n, k, rng.randint(1, math.comb(n, k)))
+            cases.append((H, rng.choice((None, rng.randint(1, n + 2)))))
+        for H, t_max in cases:
+            top = max(t for t in range(H.k, H.n + 1)
+                      if math.comb(t, H.k) <= H.m)
+            if t_max is not None:
+                top = min(top, t_max)
+            want = naive_spectrum(H, top)
+            for chunk in (1, 7, 1000):
+                monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
+                assert brute_force_spectrum(H, t_max) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_scans_restricted_growth_strings(self, monkeypatch, chunk):
+        # one row per renaming of the colors: S(n, t) distinct rows, each
+        # using all t colors with first appearances in the order 0, 1, ...
+        monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
+        S = [[1] + [0] * 8]    # Stirling numbers of the second kind
+        for n in range(1, 8):
+            S.append([0] + [t * S[n - 1][t] + S[n - 1][t - 1]
+                            for t in range(1, 9)])
+        for n in range(1, 8):
+            for t in range(1, n + 1):
+                rows = [tuple(row) for A in solver._growth_strings(n, t)
+                        for row in A.tolist()]
+                assert len(set(rows)) == len(rows) == S[n][t]
+                for row in rows:
+                    assert list(dict.fromkeys(row)) == list(range(t))
+
+    @pytest.mark.parametrize("name", ["order12", "split12_k4"])
+    def test_default_cap_refuses_12_vertices(self, name):
+        # the cap counts t**n, not the rows scanned, so
+        # gapsearch._validate_hit and certify_gap_instance still take
+        # their seeded-DFS fallback here; order9 is scanned at the
+        # default cap in test_brute_force_decodes_column_wise
+        H = _pinned_instance(name)
+        with pytest.raises(EnumerationCapExceeded):
+            brute_force_spectrum(H)
+
+    @pytest.mark.parametrize("name, want", [
+        ("order12", {3, 6}), ("split12_k4", {4, 6}), ("planar12", {3, 4, 6}),
+    ])
+    def test_confirms_12_vertex_holes(self, name, want):
+        # up to 2.44e9 assignments by the cap's count, which is why the
+        # default cap refuses them; at most 3.4M growth strings scanned
+        H = _pinned_instance(name)
+        assert brute_force_spectrum(H, cap=2_500_000_000) == want
+
 
 def test_brute_force_decodes_column_wise():
-    # 3**9 + 4**9 + 5**9 assignments of the order-9 gap instance in
-    # 1M-row passes; (chunk, n) int64 decode temporaries would pass 150 MB
+    # S(9, 3) + S(9, 4) + S(9, 5) = 17,746 growth strings of the order-9
+    # gap instance, each t decoded column by column in one pass
     text = (Path(__file__).parent / "data" / "order9.json").read_text()
     H = parse_hypergraph(text)
     got, peak = traced_peak(lambda: brute_force_spectrum(H))
