@@ -20,8 +20,8 @@ print("interpolation holds:", report.interpolation_holds)
 res = exists_complete(H, 4)
 print("t=4 search:", res.status, f"({res.nodes} nodes explored)")
 
-# Cross-check the low end by brute force: one coloring per renaming of the
-# 3**15 assignments, the S(15, 3) = 2,375,101 restricted growth strings.
+# Cross-check the low end by brute force: of the 3**15 assignments, it
+# walks only the proper colorings, one per renaming of the colors.
 print("brute force up to t=3:", sorted(brute_force_spectrum(H, 3)))
 
 # The two witnesses, as vertex -> color maps.

@@ -31,9 +31,9 @@ so a run is reproducible across machines.  The seed only permutes
 vertices of equal degree in the search order; results (found / none) are
 seed-independent, witnesses need not be.
 
-``brute_force_spectrum`` is the independent oracle: it enumerates one
-assignment per color renaming, the restricted growth strings, by
-unranking them in numpy chunks, and never shares state with the search.
+``brute_force_spectrum`` is the independent oracle: it extends numpy
+blocks of colorings vertex by vertex, one per color renaming, keeps
+only the proper ones, and never shares state with the search.
 """
 
 from __future__ import annotations
@@ -664,43 +664,56 @@ def spectrum(H: Hypergraph, *,
 
 # -- brute-force oracle ------------------------------------------------
 
-_BRUTE_CHUNK = 1_000_000   # growth strings unranked per numpy pass
+_BRUTE_CHUNK = 16_384   # rows per numpy pass of the walk, children included
 
 
-def _growth_strings(n: int, t: int):
-    """The S(n, t) length-n strings over t colors in which color c first
-    appears after c - 1 does, in int8 chunks of ``_BRUTE_CHUNK`` rows."""
-    # ways[j][b]: completions of positions j.. that reach exactly t
-    # colors when b are in use; rank order puts old colors before new
-    ways = [[0] * t + [1, 0]]
-    for _ in range(n):
-        ways.insert(0, [b * ways[0][b] + ways[0][b + 1] for b in range(t + 1)] + [0])
-    after = np.array([row[:t + 1] for row in ways[1:]], dtype=np.int64)
-    cut = after * np.arange(t + 1)     # ranks below reuse an old color
-    step = np.maximum(after, 1)        # never divides a new-color rank
-    for lo in range(0, ways[0][0], _BRUTE_CHUNK):
-        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, ways[0][0]), dtype=np.int64)
-        used = np.zeros(len(idx), dtype=np.int64)
-        A = np.empty((len(idx), n), dtype=np.int8)
-        for j in range(n):   # by column: no (chunk, n) int64 temporaries
-            c = cut[j, used]
-            old = idx < c
-            q, r = np.divmod(idx, step[j, used])
-            A[:, j] = np.where(old, q, used)
-            idx = np.where(old, r, idx - c)
-            used += ~old
-        yield A
+def _proper_colorings(H: Hypergraph, hi: int):
+    """The proper colorings of H with at most hi colors, one per renaming
+    of the colors (each first used after the one below it), as int8
+    blocks of rows.
+
+    Colors the vertices in id order: a row takes a color it already uses
+    or, below hi colors, the next new one, and is dropped as soon as two
+    vertices of an edge share a color.  Depth first, so each vertex
+    holds one block, and no pass builds more than ``_BRUTE_CHUNK`` rows.
+    """
+    earlier = [set() for _ in range(H.n)]   # neighbors colored before v
+    for e in H.edge_tuples():   # sorted, so u < v
+        for u, v in combinations(e, 2):
+            earlier[v].add(u)
+
+    def extend(A):
+        j = A.shape[1]   # the vertex to color
+        if j == H.n:
+            yield A
+            return
+        counts = np.minimum(A.max(axis=1) + 2, hi)   # old colors, a new one
+        ends = np.cumsum(counts, dtype=np.int64)
+        for start in range(0, int(ends[-1]), _BRUTE_CHUNK):
+            idx = np.arange(start, min(start + _BRUTE_CHUNK, int(ends[-1])))
+            par = np.searchsorted(ends, idx, side="right")
+            color = (idx - ends[par] + counts[par]).astype(np.int8)
+            seen = A[np.ix_(par, sorted(earlier[j]))]
+            ok = (seen != color[:, None]).all(axis=1)
+            if ok.any():
+                yield from extend(np.column_stack((A[par[ok]], color[ok])))
+
+    yield from extend(np.zeros((1, 1), dtype=np.int8))   # vertex 0: color 0
 
 
 def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
                          cap: int = 100_000_000) -> set[int]:
     """Feasible t values by enumerating every coloring, for cross-checks.
 
-    Scans one coloring per renaming of the t colors, for each t from k to
-    t_max (default: the counting bound): the restricted growth strings.
-    That is exact, and all it takes on trust: renaming maps proper
-    complete colorings to proper complete colorings, and each surjective
-    coloring has one renaming whose colors first appear as 0, 1, 2, ....
+    Walks the proper colorings with at most t_max colors (default: the
+    counting bound), one per renaming of the colors, and keeps each t
+    from k up for which one of them uses t colors and realizes every
+    k-subset of them.  That is exact, and all it takes on trust:
+    renaming maps proper complete colorings to proper complete
+    colorings, each has one renaming whose colors first appear as 0, 1,
+    2, ..., and the walk drops a row only when two vertices of an edge
+    share a color, so that every coloring extending it repeats a color
+    on that edge and none is proper.  It stops once every t is found.
     Refuses with :class:`EnumerationCapExceeded` when the sum of t**n
     over those t passes ``cap``; raise the cap explicitly for a bigger
     run.  Shares no code or state with the backtracking search.
@@ -716,36 +729,22 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
         raise EnumerationCapExceeded(
             f"{work} assignments exceed the cap of {cap}")
 
-    n = H.n
     k = H.k
     edges = H.edge_tuples()
-    pair_idx = list(combinations(range(k), 2))
+    # rank of a sorted k-subset of colors: sum of C(color_i, i + 1)
+    tab = np.array([[math.comb(c, i + 1) for i in range(k)]
+                    for c in range(ts[-1])], dtype=np.int64)
+    subsets = np.array([math.comb(t, k) for t in range(ts[-1] + 1)])
+    offsets = np.arange(k)
     out: set[int] = set()
-    for t in ts:
-        total = math.comb(t, k)
-        tab = np.zeros((t, k), dtype=np.int64)
-        for c in range(t):
-            for i in range(k):
-                tab[c, i] = math.comb(c, i + 1)
-        offsets = np.arange(k)
-        for A in _growth_strings(n, t):
-            ok = np.ones(A.shape[0], dtype=bool)
-            for e in edges:  # properness
-                cols = A[:, e]
-                for i, j in pair_idx:
-                    ok &= cols[:, i] != cols[:, j]
-                if not ok.any():
-                    break
-            if not ok.any():
-                continue
-            A = A[ok]
-            ranks = np.empty((A.shape[0], len(edges)), dtype=np.int64)
-            for j, e in enumerate(edges):
-                s = np.sort(A[:, e], axis=1).astype(np.int64)
-                ranks[:, j] = tab[s, offsets].sum(axis=1)
-            ranks.sort(axis=1)
-            distinct = (np.diff(ranks, axis=1) > 0).sum(axis=1) + 1
-            if bool((distinct == total).any()):
-                out.add(t)
-                break
+    for A in _proper_colorings(H, ts[-1]):
+        used = A.max(axis=1) + 1
+        ranks = np.empty((A.shape[0], len(edges)), dtype=np.int64)
+        for j, e in enumerate(edges):
+            ranks[:, j] = tab[np.sort(A[:, e], axis=1), offsets].sum(axis=1)
+        ranks.sort(axis=1)
+        distinct = (np.diff(ranks, axis=1) > 0).sum(axis=1) + 1
+        out.update(used[distinct == subsets[used]].tolist())
+        if len(out) == len(ts):
+            break
     return out

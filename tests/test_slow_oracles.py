@@ -15,15 +15,15 @@ from conftest import enumerate_by_insertion
 
 @pytest.mark.slow
 def test_regular15_no_complete_4_by_full_enumeration():
-    # S(15, 3) + S(15, 4) = 44.7M growth strings, one per renaming of
-    # the 3**15 + 4**15 assignments the cap counts, streamed in chunks
+    # the cap counts 3**15 + 4**15 assignments; the walk meets 106
+    # proper colorings, one per renaming of the colors
     assert brute_force_spectrum(regular15(), 4, cap=2_000_000_000) == {3}
 
 
 @pytest.mark.slow
 def test_counterexample_gap_by_full_enumeration():
-    # S(12, 3) + S(12, 4) + S(12, 5) = 2.08M growth strings for the
-    # unique planar hit, one per renaming of its assignments
+    # 2.6e8 assignments by the cap's count for the unique planar hit;
+    # the walk meets 1,099 proper colorings, one per renaming
     emb, _ = find_gap_face_hypergraphs(12)[0]
     H = face_hypergraph(emb)
     assert brute_force_spectrum(H, 5, cap=300_000_000) == {3, 4}

@@ -35,7 +35,12 @@ from hypercolor import (
 )
 from hypercolor import solver
 
-from conftest import naive_spectrum, random_uniform_hypergraph, traced_peak
+from conftest import (
+    naive_is_proper,
+    naive_spectrum,
+    random_uniform_hypergraph,
+    traced_peak,
+)
 
 
 def cycle(n):
@@ -707,8 +712,9 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        # S(5, 3) = 25 and S(5, 4) = 10 growth strings split across
-        # passes of the scan
+        # the walk builds rows vertex by vertex, split across passes of
+        # the chunk size; the 5-cycle has 5 proper colorings with 2 or 3
+        # colors up to renaming, all with 3
         H = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         want = brute_force_spectrum(H)
         monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
@@ -740,49 +746,88 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_scans_restricted_growth_strings(self, monkeypatch, chunk):
-        # one row per renaming of the colors: S(n, t) distinct rows, each
-        # using all t colors with first appearances in the order 0, 1, ...
+        # the walk's rows are the proper colorings with at most hi
+        # colors, one per renaming: colors first used in the order 0, 1,
+        # ... (the reference lists those strings, keeps the proper ones)
         monkeypatch.setattr(solver, "_BRUTE_CHUNK", chunk)
-        S = [[1] + [0] * 8]    # Stirling numbers of the second kind
-        for n in range(1, 8):
-            S.append([0] + [t * S[n - 1][t] + S[n - 1][t - 1]
-                            for t in range(1, 9)])
-        for n in range(1, 8):
-            for t in range(1, n + 1):
-                rows = [tuple(row) for A in solver._growth_strings(n, t)
-                        for row in A.tolist()]
-                assert len(set(rows)) == len(rows) == S[n][t]
-                for row in rows:
-                    assert list(dict.fromkeys(row)) == list(range(t))
+        rng = random.Random(25)
+        widest = 0
+        for _ in range(40):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(k, 7)
+            H = random_uniform_hypergraph(
+                rng, n, k, rng.randint(1, math.comb(n, k)))
+            hi = rng.randint(1, n)
+            want = set()
+            for row in itertools.product(*(range(v + 1) for v in range(n))):
+                firsts = list(dict.fromkeys(row))
+                if (firsts == list(range(len(firsts))) and len(firsts) <= hi
+                        and naive_is_proper(H, row)):
+                    want.add(row)
+            rows = [tuple(row) for A in solver._proper_colorings(H, hi)
+                    for row in A.tolist()]
+            assert len(rows) == len(set(rows))
+            assert set(rows) == want
+            widest = max(widest, len(rows))
+        # at chunks 1 and 7 some vertex takes several passes; no n <= 7
+        # reaches 1000 rows, so that chunk checks the single-pass walk
+        assert widest > 3 * 7
+
+    def test_wide_edge_on_twenty_vertices(self):
+        # 18**20 assignments by the cap's count, and 324 proper colorings
+        # up to renaming: the walk drops a row as soon as two vertices of
+        # the edge share a color, not once the edge is fully colored
+        H = Hypergraph(20, 18, [tuple(range(18))])
+        assert brute_force_spectrum(H, cap=10**26) == {18}
+
+    def test_shares_no_code_with_the_search(self):
+        # the oracle's code objects, nested ones included, name none of
+        # the search's functions; psi_upper_bound sets the default t_max
+        search = {"_Hall", "_proper_search", "_search_order", "_shuffled",
+                  "_subset_tables", "_Budget", "exists_complete",
+                  "exists_proper", "spectrum", "chromatic_number"}
+        todo = [brute_force_spectrum.__code__,
+                solver._proper_colorings.__code__]
+        names = set()
+        while todo:
+            code = todo.pop()
+            names |= set(code.co_names)
+            todo += [c for c in code.co_consts if hasattr(c, "co_names")]
+        assert "psi_upper_bound" in names
+        assert not names & search
 
     @pytest.mark.parametrize("name", ["order12", "split12_k4"])
     def test_default_cap_refuses_12_vertices(self, name):
-        # the cap counts t**n, not the rows scanned, so
-        # gapsearch._validate_hit and certify_gap_instance still take
-        # their seeded-DFS fallback here; order9 is scanned at the
-        # default cap in test_brute_force_decodes_column_wise
+        # the cap counts t**n assignments, not the proper colorings
+        # walked, so gapsearch._validate_hit and certify_gap_instance
+        # still take their seeded-DFS fallback here; order9 fits the
+        # default cap
         H = _pinned_instance(name)
         with pytest.raises(EnumerationCapExceeded):
             brute_force_spectrum(H)
 
     @pytest.mark.parametrize("name, want", [
         ("order12", {3, 6}), ("split12_k4", {4, 6}), ("planar12", {3, 4, 6}),
+        ("regular15", {3, 5}), ("grid35", {3, 4, 5}),
     ])
     def test_confirms_12_vertex_holes(self, name, want):
-        # up to 2.44e9 assignments by the cap's count, which is why the
-        # default cap refuses them; at most 3.4M growth strings scanned
+        # the cap's count of assignments up to the counting bound is
+        # 2.44e9 for the 12-vertex instances, which is why the default
+        # cap refuses them, 3.2e10 for regular15 and 5.2e12 for grid(3,5);
+        # the walk meets at most 80k proper colorings (grid(3,5))
+        cap = {"regular15": 10**11, "grid35": 10**13}.get(name, 2_500_000_000)
         H = _pinned_instance(name)
-        assert brute_force_spectrum(H, cap=2_500_000_000) == want
+        assert brute_force_spectrum(H, cap=cap) == want
 
 
 def test_brute_force_decodes_column_wise():
-    # S(9, 3) + S(9, 4) + S(9, 5) = 17,746 growth strings of the order-9
-    # gap instance, each t decoded column by column in one pass
-    text = (Path(__file__).parent / "data" / "order9.json").read_text()
-    H = parse_hypergraph(text)
-    got, peak = traced_peak(lambda: brute_force_spectrum(H))
-    assert got == {3, 5}
-    assert peak <= 50_000_000
+    # grid(3,5) has no complete 6- or 7-coloring, so the walk runs to its
+    # end: 80k proper colorings over many passes of _BRUTE_CHUNK rows.
+    # One pass over every child of a vertex traces a ~70 MB peak
+    H = grid_transversal(3, 5)
+    got, peak = traced_peak(lambda: brute_force_spectrum(H, cap=10**13))
+    assert got == {3, 4, 5}
+    assert peak <= 20_000_000
 
 
 @pytest.mark.parametrize("call", [
