@@ -31,9 +31,10 @@ so a run is reproducible across machines.  The seed only permutes
 vertices of equal degree in the search order; results (found / none) are
 seed-independent, witnesses need not be.
 
-``brute_force_spectrum`` is the independent oracle: it extends numpy
-blocks of colorings vertex by vertex, one per color renaming, keeps
-only the proper ones, and never shares state with the search.
+``brute_force_spectrum`` is the independent oracle, and ``gapsearch``'s
+one route to confirm a hit: it extends numpy blocks of colorings vertex
+by vertex, one per color renaming, keeps only the proper ones, caps the
+rows it builds (its cost), and never shares state with the search.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _check_vertex_limit(n: int) -> None:
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised by the brute-force oracle when the assignment count is too big."""
+    """Raised by the brute-force oracle when its walk builds too many rows."""
 
 
 class InvalidWitnessError(RuntimeError):
@@ -664,7 +665,8 @@ def spectrum(H: Hypergraph, *,
 
 # -- brute-force oracle ------------------------------------------------
 
-_BRUTE_CHUNK = 16_384   # rows per numpy pass of the walk, children included
+_BRUTE_CHUNK = 4_096     # rows per numpy pass of the walk, children included
+_BRUTE_ROWS = 2_000_000  # proper partial colorings the walk may build
 
 
 def _proper_colorings(H: Hypergraph, hi: int):
@@ -681,8 +683,10 @@ def _proper_colorings(H: Hypergraph, hi: int):
     for e in H.edge_tuples():   # sorted, so u < v
         for u, v in combinations(e, 2):
             earlier[v].add(u)
+    built = 0
 
     def extend(A):
+        nonlocal built
         j = A.shape[1]   # the vertex to color
         if j == H.n:
             yield A
@@ -695,14 +699,16 @@ def _proper_colorings(H: Hypergraph, hi: int):
             color = (idx - ends[par] + counts[par]).astype(np.int8)
             seen = A[np.ix_(par, sorted(earlier[j]))]
             ok = (seen != color[:, None]).all(axis=1)
+            built += int(ok.sum())
+            if built > _BRUTE_ROWS:
+                raise EnumerationCapExceeded(f"over {_BRUTE_ROWS} rows")
             if ok.any():
                 yield from extend(np.column_stack((A[par[ok]], color[ok])))
 
     yield from extend(np.zeros((1, 1), dtype=np.int8))   # vertex 0: color 0
 
 
-def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
-                         cap: int = 100_000_000) -> set[int]:
+def brute_force_spectrum(H: Hypergraph, t_max: int | None = None) -> set[int]:
     """Feasible t values by enumerating every coloring, for cross-checks.
 
     Walks the proper colorings with at most t_max colors (default: the
@@ -714,30 +720,23 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
     2, ..., and the walk drops a row only when two vertices of an edge
     share a color, so that every coloring extending it repeats a color
     on that edge and none is proper.  It stops once every t is found.
-    Refuses with :class:`EnumerationCapExceeded` when the sum of t**n
-    over those t passes ``cap``; raise the cap explicitly for a bigger
-    run.  Shares no code or state with the backtracking search.
+    It costs about 2 us per row it builds, and refuses with
+    :class:`EnumerationCapExceeded` past ``_BRUTE_ROWS`` rows.  Shares
+    no code or state with the backtracking search.
     """
-    if t_max is None:
-        t_max = psi_upper_bound(H)
-    t_max = min(t_max, H.n)
-    if H.m == 0 or t_max < H.k:
+    # the counting bound holds for every t from k to top
+    top = min(psi_upper_bound(H), H.n if t_max is None else t_max)
+    if top < H.k:
         return set()
-    ts = [t for t in range(H.k, t_max + 1) if math.comb(t, H.k) <= H.m]
-    work = sum(t ** H.n for t in ts)
-    if work > cap:
-        raise EnumerationCapExceeded(
-            f"{work} assignments exceed the cap of {cap}")
-
     k = H.k
     edges = H.edge_tuples()
     # rank of a sorted k-subset of colors: sum of C(color_i, i + 1)
     tab = np.array([[math.comb(c, i + 1) for i in range(k)]
-                    for c in range(ts[-1])], dtype=np.int64)
-    subsets = np.array([math.comb(t, k) for t in range(ts[-1] + 1)])
+                    for c in range(top)], dtype=np.int64)
+    subsets = np.array([math.comb(t, k) for t in range(top + 1)])
     offsets = np.arange(k)
     out: set[int] = set()
-    for A in _proper_colorings(H, ts[-1]):
+    for A in _proper_colorings(H, top):
         used = A.max(axis=1) + 1
         ranks = np.empty((A.shape[0], len(edges)), dtype=np.int64)
         for j, e in enumerate(edges):
@@ -745,6 +744,6 @@ def brute_force_spectrum(H: Hypergraph, t_max: int | None = None, *,
         ranks.sort(axis=1)
         distinct = (np.diff(ranks, axis=1) > 0).sum(axis=1) + 1
         out.update(used[distinct == subsets[used]].tolist())
-        if len(out) == len(ts):
+        if len(out) == top - k + 1:
             break
     return out

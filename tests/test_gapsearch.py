@@ -19,7 +19,7 @@ from hypercolor import (
     spectrum,
     split_lift,
 )
-from hypercolor import canon, gapsearch
+from hypercolor import canon, gapsearch, solver
 from hypercolor.canon import canonical_form
 from hypercolor.gapsearch import (
     SpectrumTarget,
@@ -505,3 +505,36 @@ class TestCertifyGapInstance:
         H = parse_hypergraph((DATA / "order9.json").read_text())
         with pytest.raises(TypeError):
             certify_gap_instance(H, {3, 5}, {4}, oracle_cap=100_000_000)
+
+
+class TestValidateHit:
+    """Every hit is confirmed by the brute-force walk alone."""
+
+    def test_shares_no_code_with_the_search(self):
+        # the validator's code objects, nested ones included, name none of
+        # the search's deciders
+        todo = [gapsearch._validate_hit.__code__]
+        names = set()
+        while todo:
+            code = todo.pop()
+            names |= set(code.co_names)
+            todo += [c for c in code.co_consts if hasattr(c, "co_names")]
+        assert "brute_force_spectrum" in names
+        assert not names & {"exists_complete", "exists_proper", "spectrum",
+                            "_proper_search"}
+
+    def test_refused_hits_are_dropped_and_counted(self, monkeypatch):
+        # order9's walk builds 222 rows; below that the oracle refuses
+        kw = dict(require={3, 5}, forbid={4}, budget=2000, seed=0)
+        want = split_search(5, range(4), **kw)
+        assert want.hits and "oracle_refusals" not in want.stats
+        monkeypatch.setattr(solver, "_BRUTE_ROWS", 100)
+        got = split_search(5, range(4), **kw)
+        assert got.hits == ()
+        assert got.stats["oracle_refusals"] == len(want.hits)
+        assert got.stats["hits"] == 0
+        H = parse_hypergraph((DATA / "order9.json").read_text())
+        v = certify_gap_instance(H, {3, 5}, {4})
+        assert v["target_matched"]
+        assert v["oracle_confirmed"] is False
+        assert v["ok"] is False

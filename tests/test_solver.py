@@ -698,10 +698,12 @@ class TestBruteForce:
                 rng, n, k, rng.randint(1, math.comb(n, k)))
             assert brute_force_spectrum(H) == set(spectrum(H).feasible)
 
-    def test_cap_enforced(self):
-        H = complete_uniform(12, 3)
+    def test_cap_enforced(self, monkeypatch):
+        # the cap counts the rows the walk builds: grid(3,5) builds
+        # 153,156 on its way to a full spectrum
+        monkeypatch.setattr(solver, "_BRUTE_ROWS", 100_000)
         with pytest.raises(EnumerationCapExceeded):
-            brute_force_spectrum(H, cap=1000)
+            brute_force_spectrum(grid_transversal(3, 5))
 
     def test_t_max_restricts(self):
         # all 3-subsets of 5 vertices: every pair shares an edge, so only
@@ -774,11 +776,11 @@ class TestBruteForce:
         assert widest > 3 * 7
 
     def test_wide_edge_on_twenty_vertices(self):
-        # 18**20 assignments by the cap's count, and 324 proper colorings
-        # up to renaming: the walk drops a row as soon as two vertices of
-        # the edge share a color, not once the edge is fully colored
+        # 18**20 assignments, and 324 proper colorings up to renaming: the
+        # walk drops a row as soon as two vertices of the edge share a
+        # color, not once the edge is fully colored, so it builds 359 rows
         H = Hypergraph(20, 18, [tuple(range(18))])
-        assert brute_force_spectrum(H, cap=10**26) == {18}
+        assert brute_force_spectrum(H) == {18}
 
     def test_shares_no_code_with_the_search(self):
         # the oracle's code objects, nested ones included, name none of
@@ -796,28 +798,18 @@ class TestBruteForce:
         assert "psi_upper_bound" in names
         assert not names & search
 
-    @pytest.mark.parametrize("name", ["order12", "split12_k4"])
-    def test_default_cap_refuses_12_vertices(self, name):
-        # the cap counts t**n assignments, not the proper colorings
-        # walked, so gapsearch._validate_hit and certify_gap_instance
-        # still take their seeded-DFS fallback here; order9 fits the
-        # default cap
-        H = _pinned_instance(name)
-        with pytest.raises(EnumerationCapExceeded):
-            brute_force_spectrum(H)
-
     @pytest.mark.parametrize("name, want", [
         ("order12", {3, 6}), ("split12_k4", {4, 6}), ("planar12", {3, 4, 6}),
         ("regular15", {3, 5}), ("grid35", {3, 4, 5}),
     ])
     def test_confirms_12_vertex_holes(self, name, want):
-        # the cap's count of assignments up to the counting bound is
-        # 2.44e9 for the 12-vertex instances, which is why the default
-        # cap refuses them, 3.2e10 for regular15 and 5.2e12 for grid(3,5);
-        # the walk meets at most 80k proper colorings (grid(3,5))
-        cap = {"regular15": 10**11, "grid35": 10**13}.get(name, 2_500_000_000)
+        # all five fit the default cap, which counts the rows the walk
+        # builds, not the t**n assignments up to the counting bound
+        # (2.44e9 for the 12-vertex instances, 5.2e12 for grid(3,5)):
+        # order12 builds 4,272 rows, split12_k4 643, planar12 12,097,
+        # regular15 20,898 and grid(3,5) 153,156
         H = _pinned_instance(name)
-        assert brute_force_spectrum(H, cap=cap) == want
+        assert brute_force_spectrum(H) == want
 
 
 def test_brute_force_decodes_column_wise():
@@ -825,7 +817,7 @@ def test_brute_force_decodes_column_wise():
     # end: 80k proper colorings over many passes of _BRUTE_CHUNK rows.
     # One pass over every child of a vertex traces a ~70 MB peak
     H = grid_transversal(3, 5)
-    got, peak = traced_peak(lambda: brute_force_spectrum(H, cap=10**13))
+    got, peak = traced_peak(lambda: brute_force_spectrum(H))
     assert got == {3, 4, 5}
     assert peak <= 20_000_000
 
@@ -833,7 +825,9 @@ def test_brute_force_decodes_column_wise():
 @pytest.mark.parametrize("call", [
     lambda H: spectrum(H, cover_prune=True),
     lambda H: brute_force_spectrum(H, chunk=1_000_000),
-], ids=["spectrum cover_prune", "brute_force_spectrum chunk"])
+    lambda H: brute_force_spectrum(H, cap=10**13),
+], ids=["spectrum cover_prune", "brute_force_spectrum chunk",
+        "brute_force_spectrum cap"])
 def test_removed_keywords_raise(call):
     with pytest.raises(TypeError):
         call(complete_uniform(5, 3))
