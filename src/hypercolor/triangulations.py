@@ -104,7 +104,8 @@ class Embedding:
                 f"not spherical: {f} faces, {self.m} edges, {n} vertices")
 
     def faces(self) -> list[tuple[int, ...]]:
-        """All face cycles; each directed dart is used exactly once."""
+        """All face cycles; each directed dart is used exactly once.  The
+        first call (``validate`` makes one) caches the list for later calls."""
         if self._faces is not None:
             return self._faces
         seen = set()
@@ -186,9 +187,11 @@ class Embedding:
 
         bytes([n]) plus the least BFS code over the darts (u, v) of least
         (deg u, deg v), in both orientations.  A code row lists a vertex's
-        neighbor labels around its rotation from its BFS parent, then 0xFF;
-        a start is dropped at its first row above the best code's.  The best
-        start's labelling is kept: vertex v has code label ``_label[v]``.
+        neighbor labels around its rotation from its BFS parent, then 0xFF.
+        All starts advance together, one row at a time, and after each row
+        only the starts whose row equals the least row go on.  The last
+        start left, in the order (orientation, then dart), gives the kept
+        labelling: vertex v has code label ``_label[v]``.
         """
         if self._canon is not None:
             return self._canon
@@ -199,35 +202,37 @@ class Embedding:
         dv = min(deg[w] for u in range(n) if deg[u] == du for w in rot[u])
         starts = [(u, v) for u in range(n) if deg[u] == du
                   for v in rot[u] if deg[v] == dv]
-        best = None
+        live = []
         for rows in (rot, tuple(r[::-1] for r in rot)):
             for u0, v0 in starts:
                 label, parent = [-1] * n, [0] * n
                 label[u0], parent[u0] = 0, v0
-                order, code = [u0], []
-                tie = best is not None
-                for w in order:
-                    nbrs = rows[w]
-                    i = nbrs.index(parent[w])
-                    row = []
-                    for x in nbrs[i:] + nbrs[:i]:
-                        lx = label[x]
-                        if lx < 0:
-                            label[x] = lx = len(order)
-                            parent[x] = w
-                            order.append(x)
-                        row.append(lx)
-                    row.append(0xFF)
-                    if tie:   # code equals best so far; compare this row
-                        ref = best[len(code):len(code) + len(row)]
-                        if row > ref:
-                            break
-                        tie = row == ref
-                    code += row
-                else:
-                    best, best_label = code, label
-        object.__setattr__(self, "_label", bytes(best_label))
-        object.__setattr__(self, "_canon", bytes([n] + best))
+                live.append((rows, label, parent, [u0]))
+        code = [n]
+        for k in range(n):
+            least = None
+            for start in live:
+                rows, label, parent, order = start
+                w = order[k]
+                nbrs = rows[w]
+                i = nbrs.index(parent[w])
+                row = []
+                for x in nbrs[i:] + nbrs[:i]:
+                    lx = label[x]
+                    if lx < 0:
+                        label[x] = lx = len(order)
+                        parent[x] = w
+                        order.append(x)
+                    row.append(lx)
+                row.append(0xFF)
+                if least is None or row < least:
+                    least, kept = row, [start]
+                elif row == least:
+                    kept.append(start)
+            live = kept
+            code += least
+        object.__setattr__(self, "_label", bytes(live[-1][1]))
+        object.__setattr__(self, "_canon", bytes(code))
         return self._canon
 
     def __eq__(self, other):
@@ -343,7 +348,8 @@ def _bfs_closure(seeds) -> list[Embedding]:
     set for such edges ab of B's representative, found from xy through
     both canonical labellings; they get no flip and no form.  Only flips
     into seen classes are skipped, so the output is that of flipping
-    every edge.  Every output is fully re-validated.
+    every edge.  Every output is fully re-validated and checked to be a
+    triangulation, and then holds no face list: faces() traces it again.
     """
     seen: dict[bytes, Embedding] = {}
     marked: dict[bytes, int] = {}   # classes found, not yet processed
@@ -384,6 +390,7 @@ def _bfs_closure(seeds) -> list[Embedding]:
         e.validate()
         if not e.is_triangulation:
             raise EmbeddingError("flip closure produced a non-triangulation")
+        object.__setattr__(e, "_faces", None)
     return out
 
 

@@ -174,19 +174,22 @@ class TestCanonicalize:
     @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("one_row_chunks", [False, True])
     def test_pinned(self, monkeypatch, name, as_array, one_row_chunks):
-        # one-row chunks: every row comparison falls on a chunk boundary
         (n, k, edges), want = _CANONICALIZE_CASES[name]
+        builds = [lambda: Hypergraph(n, k, np.array(edges) if as_array else edges)]
         if one_row_chunks:
-            monkeypatch.setattr(core, "_CHUNK_ROWS", 1)
-        if as_array:
-            edges = np.array(edges)
-        if isinstance(want, tuple):
-            with pytest.raises(want[0]) as exc:
-                Hypergraph(n, k, edges)
-            assert str(exc.value) == want[1]
-        else:
-            H = Hypergraph(n, k, edges)
-            assert H.edges.dtype == np.int16 and H.edges.tolist() == want
+            # the document reader too, one row per slice: it canonicalizes
+            # and refuses as the constructor does
+            monkeypatch.setattr(core, "_SLICE_CHARS", 1)
+            doc = core.dump_json({"k": k, "n": n, "edges": edges})
+            builds.append(lambda: parse_hypergraph(doc))
+        for build in builds:
+            if isinstance(want, tuple):
+                with pytest.raises(want[0]) as exc:
+                    build()
+                assert str(exc.value) == want[1]
+            else:
+                H = build()
+                assert H.edges.dtype == np.int16 and H.edges.tolist() == want
 
     def test_wrong_arity_messages(self):
         with pytest.raises(UniformityError) as exc:

@@ -139,15 +139,17 @@ class TestFlip:
 
 
 def reference_form(e):
-    """The full-code minimum over every least-degree-pair dart, no abort."""
+    """The full-code minimum over every least-degree-pair dart, no abort,
+    and the labelling (code label of each vertex) of the last start, in
+    the order (orientation, then dart), whose code is that minimum."""
     deg = e.degrees()
     pair = min((deg[u], deg[v]) for u in range(e.n) for v in e.rotation[u])
-    codes = []
-    for u0 in range(e.n):
-        for v0 in e.rotation[u0]:
-            if (deg[u0], deg[v0]) != pair:
-                continue
-            for step in (1, -1):
+    best = None
+    for step in (1, -1):
+        for u0 in range(e.n):
+            for v0 in e.rotation[u0]:
+                if (deg[u0], deg[v0]) != pair:
+                    continue
                 label, parent, order, code = {u0: 0}, {u0: v0}, [u0], []
                 for w in order:
                     nbrs = e.rotation[w]
@@ -160,8 +162,10 @@ def reference_form(e):
                             order.append(x)
                         code.append(label[x])
                     code.append(0xFF)
-                codes.append(bytes(code))
-    return bytes([e.n]) + min(codes)
+                if best is None or bytes(code) <= best:
+                    best = bytes(code)
+                    best_label = bytes(label[v] for v in range(e.n))
+    return bytes([e.n]) + best, best_label
 
 
 # sha256 of the concatenated canonical forms and of repr(rotations) of
@@ -235,9 +239,10 @@ class TestCanonicalForm:
                     assert_label_isomorphism(copy, e)
 
     def test_matches_reference_on_every_class(self):
+        # e's form and labels are the ones the flip BFS computed and read
         for n in range(4, 10):
             for e in enumerate_triangulations(n):
-                assert e.canonical_form() == reference_form(e)
+                assert (e.canonical_form(), e._label) == reference_form(e)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -247,7 +252,9 @@ class TestCanonicalForm:
         r = e.relabel(data.draw(st.permutations(range(n))))
         if data.draw(st.booleans()):
             r = r.mirror()
-        assert r.canonical_form() == reference_form(r) == e.canonical_form()
+        form, label = reference_form(r)
+        assert r.canonical_form() == form == e.canonical_form()
+        assert r._label == label
         assert_label_isomorphism(r, e)
 
     def test_invariance(self):
@@ -306,6 +313,14 @@ class TestEnumeration:
         monkeypatch.setattr(Embedding, "canonical_form", counted)
         assert len(_bfs_closure([stacked_triangulation(10)])) == 233
         assert forms == 2195
+
+    def test_classes_keep_no_face_lists(self):
+        # a cold enumeration: other tests ask the cached classes for faces
+        for n in range(4, 11):
+            for e in triangulations._enumerate_cached.__wrapped__(n):
+                assert e._faces is None
+                assert len(e.faces()) == 2 * n - 4
+                assert all(len(f) == 3 for f in e.faces())
 
     def test_generators_agree(self):
         for n in (8, 9):
