@@ -36,27 +36,26 @@ class Embedding:
     rotation[v] lists v's neighbors in cyclic order.  Validation checks
     symmetry, simplicity, connectivity, and genus 0; internal constructors
     that build valid embeddings by local surgery skip it via ``_trusted``.
+    It keeps its rotation and cached canonical form and labelling only.
     """
 
-    __slots__ = ("rotation", "_faces", "_canon", "_label")
+    __slots__ = ("rotation", "_canon", "_label")
 
     def __init__(self, rotation):
-        rot = tuple(tuple(int(w) for w in nbrs) for nbrs in rotation)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_label", None)
+        self._adopt(tuple(tuple(int(w) for w in nbrs) for nbrs in rotation))
         self.validate()
 
     @classmethod
     def _trusted(cls, rot: tuple[tuple[int, ...], ...]) -> "Embedding":
         """Wrap a rotation that is already valid and made of int tuples."""
         e = object.__new__(cls)
-        object.__setattr__(e, "rotation", rot)
-        object.__setattr__(e, "_faces", None)
-        object.__setattr__(e, "_canon", None)
-        object.__setattr__(e, "_label", None)
+        e._adopt(rot)
         return e
+
+    def _adopt(self, rot: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_label", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Embedding is immutable")
@@ -104,10 +103,8 @@ class Embedding:
                 f"not spherical: {f} faces, {self.m} edges, {n} vertices")
 
     def faces(self) -> list[tuple[int, ...]]:
-        """All face cycles; each directed dart is used exactly once.  The
-        first call (``validate`` makes one) caches the list for later calls."""
-        if self._faces is not None:
-            return self._faces
+        """All face cycles; each directed dart is used exactly once.  Every
+        call traces them afresh: nothing is cached."""
         seen = set()
         out = []
         for a in range(self.n):
@@ -121,12 +118,17 @@ class Embedding:
                     cycle.append(u)
                     u, v = v, self._succ(v, u)
                 out.append(tuple(cycle))
-        object.__setattr__(self, "_faces", out)
         return out
 
     @property
     def is_triangulation(self) -> bool:
-        return self.n >= 4 and all(len(f) == 3 for f in self.faces())
+        """n >= 4 and every face a triangle, read from the counts alone.
+
+        Exact for every valid embedding: by Euler, f = m - n + 2, and for
+        n >= 3 every face walk has at least 3 darts, so 2m >= 3f, that is
+        m <= 3n - 6, with equality iff every face is a triangle.
+        """
+        return self.n >= 4 and self.m == 3 * self.n - 6
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
@@ -349,7 +351,7 @@ def _bfs_closure(seeds) -> list[Embedding]:
     both canonical labellings; they get no flip and no form.  Only flips
     into seen classes are skipped, so the output is that of flipping
     every edge.  Every output is fully re-validated and checked to be a
-    triangulation, and then holds no face list: faces() traces it again.
+    triangulation.
     """
     seen: dict[bytes, Embedding] = {}
     marked: dict[bytes, int] = {}   # classes found, not yet processed
@@ -390,7 +392,6 @@ def _bfs_closure(seeds) -> list[Embedding]:
         e.validate()
         if not e.is_triangulation:
             raise EmbeddingError("flip closure produced a non-triangulation")
-        object.__setattr__(e, "_faces", None)
     return out
 
 

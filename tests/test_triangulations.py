@@ -80,6 +80,25 @@ class TestEmbeddingBasics:
         with pytest.raises(EmbeddingError):
             tetrahedron().relabel(perm)
 
+    def test_triangulation_read_from_counts(self):
+        # is_triangulation (m = 3n - 6, n >= 4) agrees with tracing every
+        # face on each class and on valid non-triangulations; the
+        # triangle's two faces are triangles and m = 3n - 6, so it pins
+        # the n >= 4 guard
+        _, cube = nx.check_planarity(
+            nx.convert_node_labels_to_integers(nx.hypercube_graph(3)))
+        cube = Embedding([cube.neighbors_cw_order(v) for v in range(8)])
+        cycle4 = Embedding(((1, 3), (2, 0), (3, 1), (0, 2)))
+        path3 = Embedding(((1,), (0, 2), (1,)))
+        triangle = Embedding(((1, 2), (2, 0), (0, 1)))
+        assert (cube.n, cube.m) == (8, 12)
+        assert all(len(f) == 3 for f in triangle.faces())
+        assert triangle.m == 3 * triangle.n - 6
+        classes = [e for n in range(4, 11) for e in enumerate_triangulations(n)]
+        for e in classes + [cube, cycle4, path3, triangle]:
+            traced = e.n >= 4 and all(len(f) == 3 for f in e.faces())
+            assert e.is_triangulation == traced == (e in classes)
+
     def test_euler_relation_everywhere(self):
         for e in enumerate_triangulations(7):
             assert len(e.faces()) - e.m + e.n == 2
@@ -315,10 +334,10 @@ class TestEnumeration:
         assert forms == 2195
 
     def test_classes_keep_no_face_lists(self):
-        # a cold enumeration: other tests ask the cached classes for faces
+        # no embedding has a slot for a face list; faces() traces them
+        assert "_faces" not in Embedding.__slots__
         for n in range(4, 11):
-            for e in triangulations._enumerate_cached.__wrapped__(n):
-                assert e._faces is None
+            for e in enumerate_triangulations(n):
                 assert len(e.faces()) == 2 * n - 4
                 assert all(len(f) == 3 for f in e.faces())
 
