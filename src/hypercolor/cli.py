@@ -237,9 +237,10 @@ def _cmd_export_dot(args) -> int:
 # ------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH",
-                        help="write output here instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH",
+                     help="write output here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--pretty", action="store_true",
                         help="indent JSON output")
 
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("export", help="export formats")
     esub = ex.add_subparsers(dest="export_kind", required=True)
-    ed = esub.add_parser("dot", parents=[common],
+    ed = esub.add_parser("dot", parents=[out],
                          help="incidence graph in DOT format")
     ed.add_argument("file", help="hypergraph JSON path, or '-' for stdin")
     ed.set_defaults(func=_cmd_export_dot)

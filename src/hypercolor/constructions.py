@@ -4,7 +4,8 @@ Three families and one primitive:
 
 * ``grid_transversal(k, r)``: the k-part, r-position family whose edges
   are transversals picked by position patterns; it has complete colorings
-  at t=k and t=r but provably none in a gap just below r once r is large.
+  at t=k and t=r.  The band below r that it was meant to miss is empty
+  at k = 3 (a mixed coloring fills it) and unconfirmed for k >= 4.
 * ``regular15()``: the 3-uniform 3-regular hypergraph on 15 vertices
   whose spectrum is {3, 5}.
 * ``complete_uniform(m, k)``: all k-subsets of m vertices.
@@ -259,8 +260,6 @@ class SplitPattern:
             return cls(base_m=doc["base_m"], split=tuple(doc["split"]),
                        lifts=tuple(tuple(r) for r in doc["lifts"]), k=k)
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, DocumentError):
-                raise
             raise DocumentError(str(exc)) from exc
 
 

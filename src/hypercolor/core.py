@@ -404,20 +404,16 @@ def independent_sets(H: Hypergraph, size: int) -> list[tuple[int, ...]]:
     """
     if size < 0 or size > H.n:
         raise ValueError(f"size must be in 0..{H.n}, got {size}")
-    return list(_iter_independent(H.conflict_masks(), size))
-
-
-def _iter_independent(conf: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
-    """Ascending `size`-subsets of range(len(conf)), lexicographically, no
-    two of whose members are set in each other's conflict mask."""
+    conf = H.conflict_masks()
     n = len(conf)
+    out: list[tuple[int, ...]] = []
     chosen: list[int] = []
     forbs = [0]          # forbs[i]: union of the masks of chosen[:i]
     v = 0
     while True:
         need = size - len(chosen)
         if need == 0:
-            yield tuple(chosen)
+            out.append(tuple(chosen))
         elif v <= n - need:
             if not (forbs[-1] >> v) & 1:
                 chosen.append(v)
@@ -425,7 +421,7 @@ def _iter_independent(conf: Sequence[int], size: int) -> Iterator[tuple[int, ...
             v += 1
             continue
         if not chosen:
-            return
+            return out
         v = chosen.pop() + 1
         forbs.pop()
 

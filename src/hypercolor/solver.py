@@ -13,12 +13,14 @@ the missing subsets need distinct open edges, and edge j can take
 subset S when j's colors are a proper subset of S and j's uncolored
 vertices can take the colors S lacks, one each, none held by a
 neighbor (the domain-aware matching of Regin's alldifferent filter,
-used as forward checking).  ``_Hall`` repairs one such matching from
-node to node.  The prune cuts only subtrees without a complete leaf and
-the visiting order is unchanged, so answers and witnesses do not depend
-on ``cover_prune``, and it never adds nodes.  Where fewer vertices are
-uncolored than colors unopened, Hall's condition fails, so the class
-bound (``used + n - i < t``) cuts only when ``cover_prune`` is off.
+used as forward checking; ``_distinct_colors`` finds those colors by
+Kuhn's augmenting paths, polynomial in k).  ``_Hall`` repairs one such
+matching from node to node.  The prune cuts only subtrees without a
+complete leaf and the visiting order is unchanged, so answers and
+witnesses do not depend on ``cover_prune``, and it never adds nodes.
+Where fewer vertices are uncolored than colors unopened, Hall's
+condition fails, so the class bound (``used + n - i < t``) cuts only
+when ``cover_prune`` is off.
 
 Apart from that repair, each assignment costs constant work per incident
 edge and neighbor: every edge keeps a bitmask of its colors, a table
@@ -280,6 +282,9 @@ class _Hall:
     holder[j] the subset on edge j (-1 when free) and bucket[mask] the
     open edges with that color mask.  A trail of (list, index, old
     value) lets ``undo`` restore the state from before ``assign``.
+
+    ``fits`` calls ``_distinct_colors`` only when a neighbor bars some
+    open vertex from a lacking color and three or more cover them all.
     """
 
     __slots__ = ("rows", "edges_of", "color_of", "barred", "emask", "rem",
@@ -564,9 +569,8 @@ def psi_upper_bound(H: Hypergraph) -> int:
 
 
 def _clique_lower_bound(H: Hypergraph) -> int:
-    """Greedy clique in the conflict graph; every member needs its own color."""
-    if H.m == 0:
-        return 1 if H.n else 0
+    """Greedy clique in the conflict graph; every member needs its own color.
+    H must have a vertex."""
     masks = H.conflict_masks()
     deg = [int(b) for b in map(int.bit_count, masks)]
     start = max(range(H.n), key=lambda v: deg[v])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import struct
 import time
 
 from hypercolor import Hypergraph, complete_uniform, regular15
@@ -153,3 +154,20 @@ class TestIsolatedVertices:
         for H in cases:
             assert H.isolated_vertices()
             assert (canonical_form(H), canonical_labeling(H)) == reference_search(H)
+
+
+class TestEncodingWidths:
+    def test_four_byte_ids_past_255_vertices(self):
+        H = Hypergraph(300, 2, [(0, 299), (5, 17)])
+        form = canonical_form(H)
+        assert form[:12] == struct.pack(">III", 300, 2, 2)
+        assert len(form) == 12 + 2 * 2 * 4
+        rows = struct.unpack(">4I", form[12:])
+        assert len(set(rows)) == 4 and max(rows) < 300
+        assert form == canonical_form(Hypergraph(300, 2, [(1, 2), (250, 299)]))
+        assert _encode(H, list(canonical_labeling(H))) == form
+
+    def test_empty_hypergraph(self):
+        H = Hypergraph(0, 3, [])
+        assert canonical_form(H) == struct.pack(">III", 0, 3, 0)
+        assert canonical_labeling(H) == ()

@@ -395,6 +395,16 @@ class TestExport:
         assert err == ("error: incidence graph capped at 100000 vertices and "
                        "edges, instance has n=3000000, m=0\n")
 
+    def test_dot_takes_no_pretty_flag(self, capsys):
+        # DOT is not JSON, so there is nothing to indent
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "dot", "-", "--pretty"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: hypercolor")
+        assert err.endswith("error: unrecognized arguments: --pretty\n")
+
 
 # sha256 of documents the CLI writes, compact and --pretty; a digest that
 # moves means the output format changed

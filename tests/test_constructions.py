@@ -304,3 +304,34 @@ class TestSplitLift:
             H = split_lift(SplitPattern(5, split, lifts))
             assert H.m == 10
             assert H.n == 5 + 3
+
+
+class TestTypedErrors:
+    """Generator caps and malformed split patterns."""
+
+    def test_grid_scan_cap_refuses_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^r\*\*k = 384160000 assignments "
+                                             r"exceed the generator cap$"):
+            grid_transversal(4, 140)
+        assert time.perf_counter() - start < 1.0
+
+    def test_complete_uniform_refusals(self):
+        with pytest.raises(ValueError, match="^need k >= 2, got 1$"):
+            complete_uniform(5, 1)
+        with pytest.raises(ValueError,
+                           match=r"^C\(200,4\) edges exceed the generator cap$"):
+            complete_uniform(200, 4)
+
+    def test_split_pattern_refusals(self):
+        with pytest.raises(ValueError,
+                           match="^need base_m >= k >= 2, got base_m=2, k=3$"):
+            SplitPattern(2, (), ())
+        with pytest.raises(ValueError, match="^split vertices must be distinct$"):
+            SplitPattern(4, (1, 1), ((),) * 4)
+
+    def test_from_json_refusals(self):
+        with pytest.raises(DocumentError, match="^missing field 'lifts'$"):
+            SplitPattern.from_json('{"base_m": 4, "split": []}')
+        with pytest.raises(DocumentError, match="^field 'k' must be an integer$"):
+            SplitPattern.from_json('{"base_m": 4, "split": [], "lifts": [], "k": "3"}')

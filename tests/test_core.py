@@ -782,3 +782,36 @@ for text in ['{"k":2,"n":100,"edges":[[01,2]]}', '{"k":2,"n":3,"edges":[[0,3]]}'
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["None DocumentError", "None VertexRangeError",
                                         "None UniformityError", ""]
+
+
+class TestTypedErrors:
+    """Refusals of malformed edges, colorings and vertex lists."""
+
+    def test_edge_array_must_be_integral(self):
+        with pytest.raises(DocumentError, match="^edge array must be integral$"):
+            Hypergraph(3, 2, np.array([[0.0, 1.0]]))
+
+    def test_edge_generator_is_accepted(self):
+        H = Hypergraph(4, 2, ((i, i + 1) for i in range(3)))
+        assert H == Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+
+    def test_coloring_refusals(self):
+        with pytest.raises(ValueError,
+                           match="^color count must be a non-negative int, got -1$"):
+            Coloring((), -1)
+        with pytest.raises(ValueError, match="^color 2 out of range for t=2$"):
+            Coloring((0, 2), 2)
+
+    def test_is_proper_refusals(self):
+        H = Hypergraph(3, 2, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="^colors must be non-negative$"):
+            is_proper(H, [0, -1, 1])
+        with pytest.raises(ValueError,
+                           match="^coloring has 2 entries, hypergraph has 3 vertices$"):
+            is_proper(H, [0, 1])
+
+    def test_covers_all_vertex_out_of_range(self):
+        H = Hypergraph(3, 2, [(0, 1)])
+        with pytest.raises(VertexRangeError,
+                           match="^vertex id 5 out of range for n=3$"):
+            covers_all(H, [0, 5])

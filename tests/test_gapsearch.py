@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -538,3 +539,32 @@ class TestValidateHit:
         assert v["target_matched"]
         assert v["oracle_confirmed"] is False
         assert v["ok"] is False
+
+    def test_mismatched_hits_are_dropped_and_counted(self, monkeypatch):
+        # a search spectrum that misses the smallest feasible size
+        # disagrees with the walk on every hit
+        kw = dict(require={3, 5}, forbid={4}, budget=2000, seed=0)
+        want = split_search(5, range(4), **kw)
+        assert want.hits
+
+        def short(H):
+            rep = spectrum(H)
+            return dataclasses.replace(rep, feasible=rep.feasible[1:])
+
+        monkeypatch.setattr(gapsearch, "spectrum", short)
+        got = split_search(5, range(4), **kw)
+        assert got.hits == ()
+        assert got.stats["validation_rejects"] == len(want.hits)
+        assert "oracle_refusals" not in got.stats
+
+
+class TestTypedErrors:
+    def test_spectrum_target_overlap(self):
+        with pytest.raises(ValueError, match=r"^require and forbid overlap: \[4\]$"):
+            SpectrumTarget(frozenset({3, 4}), frozenset({4, 5}))
+
+    def test_split_search_refusals(self):
+        with pytest.raises(ValueError, match="^base_m must be at least k=3, got 2$"):
+            split_search(2, ())
+        with pytest.raises(ValueError, match="^split vertices must be distinct$"):
+            split_search(5, (1, 1))

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -901,3 +902,83 @@ class TestVertexLimit:
         assert (rep.chi, rep.psi, rep.feasible, rep.unknown) == (1, 0, (), ())
         assert rep.warnings == ("hypergraph has no edges; no complete "
                                 "coloring by convention",)
+
+
+def _representatives_exist(allowed, colors):
+    """Reference: some tuple of distinct colors gives vertex i a color
+    from allowed[i]."""
+    return any(all(allowed[i] >> c & 1 for i, c in enumerate(pick))
+               for pick in itertools.permutations(range(colors), len(allowed)))
+
+
+class TestDistinctColors:
+    """_distinct_colors finds distinct representatives by augmenting paths."""
+
+    def test_every_short_list_over_four_colors(self):
+        for size in range(4):
+            for allowed in itertools.product(range(16), repeat=size):
+                assert solver._distinct_colors(allowed) == \
+                    _representatives_exist(allowed, 4), allowed
+
+    def test_random_lists_over_six_colors(self):
+        rng = random.Random(29)
+        for _ in range(2000):
+            allowed = [rng.randrange(64) for _ in range(rng.randint(4, 5))]
+            assert solver._distinct_colors(allowed) == \
+                _representatives_exist(allowed, 6), allowed
+
+    def test_twenty_vertices(self):
+        # vertex i < 19 allows colors i and i+1, the last only color 0:
+        # distinct only once every other vertex moves up one color
+        assert solver._distinct_colors([3 << i for i in range(19)] + [1])
+        # twenty vertices on nineteen colors
+        assert not solver._distinct_colors([(1 << 19) - 1] * 20)
+
+    def test_large_k_search_stays_polynomial(self, monkeypatch):
+        """A k = 18 search asks about up to 18 vertices per edge; a check
+        of Hall's condition over all 2^k vertex sets would take seconds."""
+        calls = []
+        matcher = solver._distinct_colors
+
+        def timed(allowed):
+            start = time.perf_counter()
+            ok = matcher(allowed)
+            calls.append((len(allowed), time.perf_counter() - start))
+            return ok
+
+        monkeypatch.setattr(solver, "_distinct_colors", timed)
+        rng = random.Random(2)
+        H = Hypergraph(54, 18, [sorted(rng.sample(range(54), 18))
+                                for _ in range(12)])
+        res = exists_complete(H, 18)
+        assert (res.status, res.nodes) == ("none", 19)
+        assert max(size for size, _ in calls) == 18
+        assert sum(spent for _, spent in calls) < 0.25
+
+
+class TestTypedErrors:
+    """Refusals and degenerate answers of the deciders."""
+
+    def test_exists_proper(self):
+        with pytest.raises(ValueError, match="^t must be non-negative$"):
+            exists_proper(cycle(3), -1)
+        res = exists_proper(Hypergraph(0, 2, []), 2)
+        assert (res.status, res.witness, res.nodes) == ("found", Coloring((), 2), 0)
+        res = exists_proper(Hypergraph(3, 2, []), 1)
+        assert (res.status, res.witness, res.nodes) == (
+            "found", Coloring((0, 0, 0), 1), 0)
+
+    def test_exists_complete(self, monkeypatch):
+        with pytest.raises(ValueError, match="^t must be non-negative$"):
+            exists_complete(cycle(3), -1)
+        monkeypatch.setattr(solver, "_SUBSET_CAP", 5)
+        with pytest.raises(ValueError,
+                           match=r"^C\(4,2\) = 6 exceeds the exact-search cap$"):
+            exists_complete(complete_uniform(6, 2), 4)
+
+    def test_chromatic_number_of_the_empty_hypergraph(self):
+        assert chromatic_number(Hypergraph(0, 3, [])) == 0
+
+    def test_solve_result_status(self):
+        with pytest.raises(ValueError, match="^bad status 'maybe'$"):
+            solver.SolveResult("maybe", None, 0)

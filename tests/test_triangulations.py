@@ -426,3 +426,50 @@ class TestFindGap:
     def test_budget_leaves_the_hit_out(self):
         # the unique 12-vertex hit needs more than one node per search
         assert find_gap_face_hypergraphs(12, budget=1) == []
+
+
+def _cube():
+    _, emb = nx.check_planarity(
+        nx.convert_node_labels_to_integers(nx.hypercube_graph(3)))
+    return Embedding([emb.neighbors_cw_order(v) for v in range(8)])
+
+
+class TestTypedErrors:
+    """Refusals of malformed rotations, documents and non-triangulations."""
+
+    def test_validate_refusals(self):
+        with pytest.raises(EmbeddingError, match="^vertex 2 has no neighbors$"):
+            Embedding(((1,), (0,), ()))
+        with pytest.raises(EmbeddingError, match="^vertex 0 has a repeated neighbor$"):
+            Embedding(((1, 1), (0,)))
+        with pytest.raises(EmbeddingError, match="^vertex 0 has a loop$"):
+            Embedding(((0, 1), (0,)))
+
+    def test_flip_refusals(self):
+        cube = _cube()
+        v = cube.rotation[0][0]
+        with pytest.raises(EmbeddingError,
+                           match=f"^faces at 0-{v} are not triangles$") as exc:
+            cube.flip(0, v)
+        assert type(exc.value) is EmbeddingError
+        triangle = Embedding(((1, 2), (2, 0), (0, 1)))
+        with pytest.raises(UnflippableEdgeError,
+                           match="^faces at 0-1 share vertex 2$"):
+            triangle.flip(0, 1)
+
+    def test_parse_refusals(self):
+        with pytest.raises(EmbeddingError, match="^bad line '0: 1 x'$"):
+            parse_embedding("0: 1 x\n1: 0\n")
+        with pytest.raises(EmbeddingError, match="^vertex lines must cover 0..n-1$"):
+            parse_embedding("0: 2\n2: 0\n")
+
+    def test_non_triangulations_are_refused(self):
+        cube = _cube()
+        with pytest.raises(EmbeddingError,
+                           match="^face hypergraph needs a triangulation$"):
+            face_hypergraph(cube)
+        with pytest.raises(EmbeddingError,
+                           match="^three_coloring needs a triangulation$"):
+            three_coloring(cube)
+        with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
+            stacked_triangulation(3)
