@@ -18,15 +18,16 @@ import argparse
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable
 
 from .core import (
     DocumentError,
     HypergraphError,
+    _serialized_pieces,
     dump_json,
     hypergraph_to_dict,
     incidence_graph,
     parse_hypergraph,
-    serialize_hypergraph,
 )
 from .constructions import (
     SplitPattern,
@@ -69,11 +70,14 @@ def _read_text(path: str) -> str:
         raise DocumentError(f"cannot read {path}: {exc}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each piece of it as it is made, to stdout or out."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(pieces)
 
 
 def _int_list(raw: str) -> list[int]:
@@ -97,7 +101,7 @@ def _cmd_gen(args) -> int:
     else:  # split-lift
         pattern = SplitPattern.from_json(_read_text(args.pattern))
         H = split_lift(pattern)
-    _emit(serialize_hypergraph(H, pretty=args.pretty), args.out)
+    _emit(_serialized_pieces(H, args.pretty), args.out)
     return EXIT_OK
 
 
@@ -204,7 +208,7 @@ def _cmd_tri_enumerate(args) -> int:
 def _cmd_tri_face(args) -> int:
     e = tri.parse_embedding(_read_text(args.file))
     H = tri.face_hypergraph(e)
-    _emit(serialize_hypergraph(H, pretty=args.pretty), args.out)
+    _emit(_serialized_pieces(H, args.pretty), args.out)
     return EXIT_OK
 
 

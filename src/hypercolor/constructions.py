@@ -23,11 +23,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (Coloring, DocumentError, Hypergraph, _chunks, _dtype_for,
+from .core import (Coloring, DocumentError, Hypergraph, _chunks, _id_dtype,
                    dump_json, load_json)
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
+# tails the grid generator tests in one numpy call, at least
+_GRID_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -81,38 +83,61 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
     params = GridParams(k, r)
     if r ** k > _GRID_SCAN_CAP:
         raise ValueError(f"r**k = {r ** k} assignments exceed the generator cap")
-    # positions q_1..q_{k-1} of every tail, one contiguous vector per part,
-    # tails in lexicographic order; their pair tests are shared by all q_0
-    tail = np.indices((r,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)
-    distinct = np.ones(tail.shape[1], dtype=bool)
-    adjacent = np.zeros(tail.shape[1], dtype=np.int8)
-    for i, j in combinations(range(k - 1), 2):
-        d = tail[i] - tail[j]
-        distinct &= d != 0
-        adjacent += (d == 1) | (d == -1)
-    increasing = (tail[1:] > tail[:-1]).all(axis=0)
-    keep, counts = [], []  # each q0's mask of kept tails, one bit per tail
+    # an assignment's score counts its adjacent position pairs, plus 64 for
+    # each repeated position: a kept assignment that is not strictly
+    # increasing scores at most 1.  weight[p, q] is the score of one pair
+    d = np.subtract.outer(np.arange(r), np.arange(r))
+    weight = ((np.abs(d) == 1) + 64 * (d == 0)).astype(np.int16)
+    # positions q_2..q_{k-1} of every tail, one contiguous vector per part,
+    # tails in lexicographic order; the scores of their pairs are shared by
+    # every prefix (q_0, q_1)
+    tail = np.indices((r,) * (k - 2), dtype=np.int16).reshape(k - 2, -1)
+    tails = tail.shape[1]
+    score = np.zeros(tails, dtype=np.int16)
+    for i, j in combinations(range(k - 2), 2):
+        score += weight[tail[i], tail[j]]
+    # a strictly increasing tail's first position, -1 for any other tail
+    first = np.where((tail[1:] > tail[:-1]).all(axis=0), tail[0], -1)
+
+    def meets(qs):
+        """Per position q in qs and per tail, the scores of the pairs of q
+        with the tail's positions: summed one position at a time, in the
+        tails' lexicographic order."""
+        w = weight[qs]
+        out = np.zeros((len(qs), 1), dtype=np.int16)
+        for _ in range(k - 2):
+            out = (out[:, :, None] + w[:, None, :]).reshape(len(qs), -1)
+        return out
+
+    # a block is one q0 and a run of q1 values, `step` of them, so that a
+    # numpy call covers at least _GRID_BLOCK_ROWS tails
+    step = min(r, max(1, _GRID_BLOCK_ROWS // tails))
+    kept = []  # (q0, first q1, its kept tails one bit each, their count)
     for q0 in range(r):
-        ok = distinct.copy()
-        adj = adjacent.copy()
-        for q in tail:
-            ok &= q != q0
-            adj += (q == q0 - 1) | (q == q0 + 1)
-        mask = ok & ((adj <= 1) | (increasing & (tail[0] > q0)))
-        keep.append(np.packbits(mask))
-        counts.append(int(np.count_nonzero(mask)))
-    # each q0's rows are its kept tail rows with q0 in front
-    dtype = _dtype_for(params.n)
-    block = np.empty((tail.shape[1], k), dtype=dtype)
-    for i, q in enumerate(tail, start=1):
-        block[:, i] = q + i * r
-    edges = np.empty((sum(counts), k), dtype=dtype)
-    lo = 0
-    for q0, (bits, count) in enumerate(zip(keep, counts)):
+        score0 = score + meets([q0])[0]
+        for lo in range(0, r, step):
+            q1 = np.arange(lo, min(lo + step, r), dtype=np.int16)[:, None]
+            # q1 = q0 repeats a position, q1 next to q0 is an adjacent pair
+            limit = np.minimum(np.abs(q1 - q0), 2) - 1
+            mask = score0 + meets(q1[:, 0]) <= limit
+            # q0 < q1 < the first position of an increasing tail
+            mask |= first > np.where(q1 > q0, q1, r)
+            kept.append((q0, lo, np.packbits(mask), int(np.count_nonzero(mask))))
+    # each block's rows are its kept tail rows with q0 and q1 in front
+    dtype = _id_dtype(params.n)
+    block = np.empty((step * tails, k), dtype=dtype)
+    run = np.repeat(np.arange(step, dtype=dtype), tails)
+    for i, p in enumerate(tail, start=2):
+        block[:, i] = np.tile(p + i * r, step)
+    edges = np.empty((sum(count for *_, count in kept), k), dtype=dtype)
+    at = 0
+    for q0, lo, bits, count in kept:
+        rows = (min(lo + step, r) - lo) * tails
         block[:, 0] = q0
-        mask = np.unpackbits(bits, count=tail.shape[1]).view(bool)
-        np.compress(mask, block, axis=0, out=edges[lo:lo + count])
-        lo += count
+        block[:, 1] = run + (lo + r)
+        mask = np.unpackbits(bits, count=rows).view(bool)
+        np.compress(mask, block[:rows], axis=0, out=edges[at:at + count])
+        at += count
     return Hypergraph._trusted(params.n, k, edges)
 
 

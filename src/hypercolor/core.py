@@ -3,9 +3,11 @@
 Vertices are the integers 0..n-1.  Edges are k-subsets of vertices, stored
 as a read-only (m, k) numpy array whose rows are sorted ascending and
 ordered lexicographically, so equal hypergraphs have identical storage and
-serialize to identical bytes.  The array representation is what lets the
-large constructed families (tens of millions of edges) stay workable in a
-few hundred MB.  The bulk paths work one column at a time over chunks of
+serialize to identical bytes.  Its ids take the narrowest unsigned type
+that holds n - 1 (``_id_dtype``), so code that subtracts them casts
+first.  The array representation is what lets the large constructed
+families (tens of millions of edges) stay workable in a few hundred MB.
+The bulk paths work one column at a time over chunks of
 edges, never on per-edge Python objects or (m, k) temporaries: the
 predicates gather colors per column and sort each row with a
 compare-exchange network over the k columns.  The public constructor
@@ -63,13 +65,29 @@ class VertexRangeError(HypergraphError):
 
 
 def _dtype_for(n: int) -> np.dtype:
-    # smallest signed type that can hold any id; signed so that
-    # intermediate arithmetic in callers cannot silently wrap
+    # smallest signed type that holds n; for colours, pair keys and rank
+    # tables, whose callers add and multiply them
     if n <= np.iinfo(np.int16).max:
         return np.dtype(np.int16)
     if n <= np.iinfo(np.int32).max:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def _id_dtype(n: int) -> np.dtype:
+    """The dtype of the vertex ids of a hypergraph on n vertices: the
+    narrowest unsigned type that holds n - 1 (uint8 up to n = 256, uint16
+    up to n = 65,536), and ``_dtype_for(n)`` beyond.
+
+    Ids in this dtype are compared and indexed, never subtracted: a
+    difference of unsigned ids wraps, and a product or sum can overflow
+    the narrow type, so code that does arithmetic on ids casts first.
+    """
+    if n <= 1 << 8:
+        return np.dtype(np.uint8)
+    if n <= 1 << 16:
+        return np.dtype(np.uint16)
+    return _dtype_for(n)
 
 
 def _row_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +137,7 @@ class Hypergraph:
     def _trusted(cls, n: int, k: int, arr: np.ndarray) -> "Hypergraph":
         """Wrap an edge array the grid generator has just built, without a copy.
 
-        ``arr`` must be an (m, k) C-contiguous array in ``_dtype_for(n)``
+        ``arr`` must be an (m, k) C-contiguous array in ``_id_dtype(n)``
         whose rows are ascending, in range and in strictly increasing
         lexicographic order, and the caller must hold no other reference
         to it: it is marked read-only and stored unchecked.
@@ -180,7 +198,7 @@ class Hypergraph:
             if lo < 0 or hi >= n:
                 bad = lo if lo < 0 else hi
                 raise VertexRangeError(f"vertex id {bad} out of range for n={n}")
-        return arr.astype(_dtype_for(n))
+        return arr.astype(_id_dtype(n))
 
     @staticmethod
     def _canonicalize(n: int, k: int, arr: np.ndarray) -> np.ndarray:
@@ -526,21 +544,26 @@ def _rows_text(E: np.ndarray, pretty: bool) -> str:
     return buf[keep].tobytes().decode("ascii")
 
 
+def _serialized_pieces(H: Hypergraph, pretty: bool) -> Iterator[str]:
+    """The text of ``serialize_hypergraph(H)`` in pieces, one per chunk of
+    rows, each made only when asked for."""
+    head, tail = dump_json({"k": H.k, "n": H.n, "edges": []},
+                           pretty=pretty).rsplit("[]", 1)
+    yield head + "["
+    for sl in _chunks(H.m):
+        text = _rows_text(H.edges[sl], pretty)
+        # no comma after the last row
+        yield text[:-1] if sl.stop == H.m else text
+    yield ("\n  ]" if pretty and H.m else "]") + tail
+
+
 def serialize_hypergraph(H: Hypergraph, *, pretty: bool = False) -> str:
     """Canonical JSON text.  Equal hypergraphs serialize byte-identically.
 
     The bytes of ``dump_json(hypergraph_to_dict(H), pretty=pretty)``; the
     rows are written as numpy bytes a chunk at a time, no object per id.
     """
-    head, tail = dump_json({"k": H.k, "n": H.n, "edges": []},
-                           pretty=pretty).rsplit("[]", 1)
-    pieces = [head, "["]
-    for sl in _chunks(H.m):
-        pieces.append(_rows_text(H.edges[sl], pretty))
-    if H.m:
-        pieces[-1] = pieces[-1][:-1]  # no comma after the last row
-    pieces += ["\n  ]" if pretty and H.m else "]", tail]
-    return "".join(pieces)
+    return "".join(_serialized_pieces(H, pretty))
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -628,7 +651,7 @@ def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None
     per row or id; None unless every row is a list of k int ids in range(n)."""
     if n >= 2 ** 63:  # past uint64 ids; Hypergraph refuses such an n anyway
         return None
-    dtype = _dtype_for(n)
+    dtype = _id_dtype(n)
     parts = [np.empty((0, k), dtype=dtype)]
     while lo < hi:
         cut = _ROW_CUT.search(text, min(lo + _SLICE_CHARS, hi), hi)

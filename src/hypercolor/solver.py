@@ -61,8 +61,10 @@ from .core import (
 
 _STATUSES = ("found", "none", "budget_exhausted")
 
-# refuse completeness state beyond this many k-subsets; the exact search
-# is meant for instances with at most a few thousand edges
+# refuse completeness state beyond this many k-subsets, or beyond this
+# many proper submasks of them (the Hall bound keeps a table entry and an
+# edge bucket for each, some 300 bytes apiece); the exact search is meant
+# for instances with at most a few thousand edges
 _SUBSET_CAP = 500_000
 
 # the searches recurse once per vertex, so Python's default recursion
@@ -448,10 +450,11 @@ def exists_complete(H: Hypergraph, t: int, *,
     cover_prune switches the Hall bound (:class:`_Hall`): every
     uncovered subset needs its own open edge whose colors it contains
     and whose uncolored vertices can still take the colors it lacks.
-    Answers never depend on it, node counts do.  Raises
-    :class:`VertexLimitError` when a search is needed on more than
-    ``_MAX_SEARCH_VERTICES`` vertices, and :class:`InvalidWitnessError`
-    if a found witness fails ``is_complete``.
+    Answers never depend on it, node counts do.  Raises ValueError when
+    the C(t, k) subsets, or their C(t, k) * (2^k - 1) proper submasks,
+    number more than ``_SUBSET_CAP``, :class:`VertexLimitError` when a
+    search is needed on more than ``_MAX_SEARCH_VERTICES`` vertices, and
+    :class:`InvalidWitnessError` if a found witness fails ``is_complete``.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -462,6 +465,10 @@ def exists_complete(H: Hypergraph, t: int, *,
         return SolveResult("none", None, 0)
     if total > _SUBSET_CAP:
         raise ValueError(f"C({t},{H.k}) = {total} exceeds the exact-search cap")
+    submasks = total * ((1 << H.k) - 1)
+    if submasks > _SUBSET_CAP:
+        raise ValueError(f"C({t},{H.k}) * (2**{H.k} - 1) = {submasks} subset "
+                         f"submasks exceed the exact-search cap")
     _check_vertex_limit(H.n)
 
     k = H.k

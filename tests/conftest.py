@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from hypercolor import Hypergraph
-from hypercolor.core import _dtype_for
+from hypercolor.core import _id_dtype
 from hypercolor.triangulations import (
     _bfs_closure,
     _insert_vertex,
@@ -69,7 +69,7 @@ def assert_trusted_edges(H):
     the array that constructor would: id dtype, C order, read-only."""
     ref = Hypergraph(H.n, H.k, H.edges.copy())
     assert ref == H and hash(ref) == hash(H)
-    assert H.edges.dtype == _dtype_for(H.n)
+    assert H.edges.dtype == _id_dtype(H.n)
     assert H.edges.flags["C_CONTIGUOUS"]
     assert not H.edges.flags.writeable
 

@@ -1,14 +1,17 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from hypercolor import (complete_uniform, parse_hypergraph, serialize_hypergraph,
-                        solver)
+from hypercolor import (Hypergraph, complete_uniform, grid_transversal,
+                        parse_hypergraph, serialize_hypergraph, solver)
 from hypercolor.cli import main
+
+from conftest import traced_peak
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -78,6 +81,25 @@ class TestGen:
         code, out, _ = run(capsys, ["gen", "regular15", "--out", str(dest)])
         assert code == 0 and out == ""
         assert parse_hypergraph(dest.read_text()).m == 15
+
+    def test_theorem3_out_file_bytes(self, capsys, tmp_path):
+        dest = tmp_path / "grid.json"
+        code, out, _ = run(capsys, ["gen", "theorem3", "--k", "4", "--r", "24",
+                                    "--out", str(dest)])
+        assert code == 0 and out == ""
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "52036d0134b2f7fe2ed3898295009714ec0dbe18af60d7abde9d2f897274d8d1")
+
+    def test_out_file_is_written_a_chunk_at_a_time(self, capsys, tmp_path):
+        # grid(4,32): a 12.1 MB document and a 3.5 MB edge array.  Built
+        # whole, the text was traced at about 31 MB; written one chunk of
+        # rows at a time, generation and all stay below the document's size
+        dest = tmp_path / "grid.json"
+        argv = ["gen", "theorem3", "--k", "4", "--r", "32", "--out", str(dest)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and capsys.readouterr().out == ""
+        assert dest.read_text() == serialize_hypergraph(grid_transversal(4, 32))
+        assert peak < dest.stat().st_size
 
 
 class TestSolve:
@@ -160,8 +182,20 @@ class TestSolve:
                            stdin="nope", monkeypatch=monkeypatch)
         assert code == 1 and "error:" in err
 
+    def test_oversized_subset_table_exit_1(self, capsys, tmp_path):
+        # 25 colour 24-subsets with 2**24 - 1 submasks each: refused with
+        # one error line before any table is built
+        rng = random.Random(0)
+        doc = tmp_path / "k24.json"
+        doc.write_text(serialize_hypergraph(Hypergraph(
+            48, 24, [sorted(rng.sample(range(48), 24)) for _ in range(30)])))
+        code, out, err = run(capsys, ["solve", str(doc), "--t", "25"])
+        assert code == 1 and out == ""
+        assert err == ("error: C(25,24) * (2**24 - 1) = 419430375 subset "
+                       "submasks exceed the exact-search cap\n")
+
     def test_vertex_beyond_id_dtype_exit_1(self, capsys, monkeypatch):
-        # 70000 does not fit the int16 ids of n=100: a range error, no traceback
+        # 70000 does not fit the uint8 ids of n=100: a range error, no traceback
         code, out, err = run(capsys, ["solve", "-", "--chi"],
                              stdin='{"k":2,"n":100,"edges":[[0,70000]]}',
                              monkeypatch=monkeypatch)

@@ -80,7 +80,7 @@ class TestHypergraphConstruction:
             Hypergraph(3, 2, [(-1, 2)])
 
     @pytest.mark.parametrize("edges", [
-        np.array([[0, 65541]]),            # 65541 wraps to 5 in int16
+        np.array([[0, 65541]]),            # 65541 wraps to 5 in uint8
         np.array([[0, 2 ** 40]], dtype=np.int64),
         np.array([[0, 70000]], dtype=np.uint32),
         [[0, 70000]],
@@ -189,7 +189,7 @@ class TestCanonicalize:
                 assert str(exc.value) == want[1]
             else:
                 H = build()
-                assert H.edges.dtype == np.int16 and H.edges.tolist() == want
+                assert H.edges.dtype == core._id_dtype(n) and H.edges.tolist() == want
 
     def test_wrong_arity_messages(self):
         with pytest.raises(UniformityError) as exc:
@@ -659,10 +659,11 @@ class TestSlicedParse:
 
 
 # n and ids at the digit-count boundaries and those of the id dtypes
-BOUNDARY_NS = [9, 10, 11, 99, 100, 999, 1000, 32767, 32768, 2 ** 31 - 1, 2 ** 31,
-               2 ** 63 - 1]
-BOUNDARY_IDS = [0, 1, 8, 9, 10, 11, 98, 99, 100, 998, 999, 1000, 32766, 32767,
-                32768, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 3, 2 ** 63 - 2]
+BOUNDARY_NS = [9, 10, 11, 99, 100, 256, 257, 999, 1000, 32767, 32768, 65536, 65537,
+               2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1]
+BOUNDARY_IDS = [0, 1, 8, 9, 10, 11, 98, 99, 100, 255, 256, 998, 999, 1000, 32766,
+                32767, 32768, 65535, 65536, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31,
+                2 ** 63 - 3, 2 ** 63 - 2]
 
 
 class TestChunkedOutput:
@@ -722,8 +723,75 @@ class TestChunkedOutput:
             assert H.conflict_masks() == tuple(want)
 
 
+class TestIdWidths:
+    """Ids are stored in the narrowest unsigned type that holds n - 1:
+    uint8 at n = 256, uint16 at n = 257.  Every array path agrees with a
+    reference computed from the edge tuples, ids at the top of the range
+    included, so none of them wraps in the narrow type."""
+
+    T = 5  # colours of the position colouring v % T
+
+    @pytest.mark.parametrize("n, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.int32), (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+    def test_width_rule(self, n, dtype):
+        H = Hypergraph(n, 2, [[n - 1, 0]])
+        assert H.edges.dtype == dtype and H.edge_tuples() == [(0, n - 1)]
+        assert parse_hypergraph(serialize_hypergraph(H)).edges.dtype == dtype
+
+    def instance(self, n):
+        # the top three ids, every 3-subset of the T residues on ids near
+        # n - 1, then random edges whose residues are distinct, so v % T
+        # stays proper
+        rng = random.Random(n)
+        top = list(range(n - 3 * self.T, n))
+        edges = {tuple(sorted(rng.choice([v for v in top if v % self.T == c])
+                              for c in colors))
+                 for colors in itertools.combinations(range(self.T), 3)}
+        edges.add((n - 3, n - 2, n - 1))
+        while len(edges) < 60:
+            e = rng.sample(range(n), 3)
+            if len({v % self.T for v in e}) == 3:
+                edges.add(tuple(sorted(e)))
+        return sorted(edges)
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize("chunk", [3, core._CHUNK_ROWS])
+    def test_array_paths_match_tuples(self, monkeypatch, n, dtype, chunk):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", chunk)
+        rows = self.instance(n)
+        assert max(map(max, rows)) == n - 1
+        H = Hypergraph(n, 3, [list(reversed(e)) for e in reversed(rows)])
+        assert H.edges.dtype == dtype == core._id_dtype(n)
+        assert H.edge_tuples() == rows
+        text = serialize_hypergraph(H)
+        assert text == json.dumps({"k": 3, "n": n, "edges": [list(e) for e in rows]},
+                                  separators=(",", ":")) + "\n"
+        parsed = core._parse_sliced(text)
+        assert parsed == H and parsed.edges.dtype == dtype
+        degrees = [0] * n
+        masks = [0] * n
+        for e in rows:
+            for a in e:
+                degrees[a] += 1
+                for b in e:
+                    if a != b:
+                        masks[a] |= 1 << b
+        assert H.degrees().tolist() == degrees
+        assert H.conflict_masks() == tuple(masks)
+        colourings = [[v % self.T for v in range(n)],       # complete
+                      [v % (self.T + 1) for v in range(n)],  # not proper
+                      [(v * 7) % self.T for v in range(n)]]
+        for colors in colourings:
+            t = max(colors) + 1
+            assert is_proper(H, colors) == naive_is_proper(H, colors)
+            assert is_complete(H, Coloring(tuple(colors), t)) == \
+                naive_is_complete(H, colors, t)
+        assert is_complete(H, Coloring(tuple(colourings[0]), self.T))
+
+
 class TestBoundedMemory:
-    """Transients on the grid(4,24) document (240,051 edges, a 1.9 MB
+    """Transients on the grid(4,24) document (240,051 edges, a 0.96 MB
     edge array) stay within one slice of rows; one Python list per edge
     took 30-40 MB."""
 

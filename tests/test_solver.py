@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -975,6 +976,20 @@ class TestTypedErrors:
         with pytest.raises(ValueError,
                            match=r"^C\(4,2\) = 6 exceeds the exact-search cap$"):
             exists_complete(complete_uniform(6, 2), 4)
+
+    def test_submask_table_refused_before_it_is_built(self, monkeypatch):
+        # C(25, 24) = 25 subsets, but 25 * (2**24 - 1) proper submasks: the
+        # table and the Hall bound's buckets would take gigabytes
+        def unreachable(t, k):
+            raise AssertionError("the subset tables were built")
+
+        monkeypatch.setattr(solver, "_subset_tables", unreachable)
+        rng = random.Random(0)
+        H = Hypergraph(48, 24, [sorted(rng.sample(range(48), 24)) for _ in range(30)])
+        with pytest.raises(ValueError, match=re.escape(
+                "C(25,24) * (2**24 - 1) = 419430375 subset submasks exceed "
+                "the exact-search cap")):
+            exists_complete(H, 25)
 
     def test_chromatic_number_of_the_empty_hypergraph(self):
         assert chromatic_number(Hypergraph(0, 3, [])) == 0
