@@ -255,6 +255,8 @@ class Hypergraph:
         Built once per instance and cached; the co-edged pairs are
         deduplicated as ``a * n + b`` keys, in the narrowest dtype that
         holds n * n, one chunk of edges at a time and then across chunks.
+        By a sort (``_distinct``): numpy 2's ``np.unique`` imports
+        ``numpy.ma``, 10-25 ms that every searching command would pay.
         """
         if self._masks is None:
             n = self.n
@@ -262,10 +264,10 @@ class Hypergraph:
             parts = [np.empty(0, dtype=dtype)]
             for sl in _chunks(self.m):
                 E = self.edges[sl].astype(dtype)
-                parts.append(np.unique(np.concatenate(
+                parts.append(_distinct(
                     [E[:, i] * n + E[:, j] for i in range(self.k)
-                     for j in range(i + 1, self.k)])))
-            keys = parts[-1] if len(parts) <= 2 else np.unique(np.concatenate(parts))
+                     for j in range(i + 1, self.k)]))
+            keys = parts[-1] if len(parts) <= 2 else _distinct(parts)
             masks = [0] * n
             for a, b in zip((keys // n).tolist(), (keys % n).tolist()):
                 masks[a] |= 1 << b
@@ -349,6 +351,17 @@ def subset_rank(sorted_colors: Sequence[int]) -> int:
     subsets can be marked in a flat array without knowing t up front.
     """
     return sum(math.comb(c, i + 1) for i, c in enumerate(sorted_colors))
+
+
+def _distinct(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The distinct values of the arrays in parts, ascending: a sort and
+    a mask that keeps each value unlike its left neighbor."""
+    a = np.concatenate(parts)
+    a.sort()
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _chunks(m: int) -> Iterator[slice]:

@@ -15,9 +15,14 @@ vertices can take the colors S lacks, one each, none held by a
 neighbor (the domain-aware matching of Regin's alldifferent filter,
 used as forward checking; ``_distinct_colors`` finds those colors by
 Kuhn's augmenting paths, polynomial in k).  ``_Hall`` repairs one such
-matching from node to node.  The prune cuts only subtrees without a
-complete leaf and the visiting order is unchanged, so answers and
-witnesses do not depend on ``cover_prune``, and it never adds nodes.
+matching from node to node, by depth-first augmenting paths with a
+lookahead: a subset reached takes a free edge that fits it before it
+displaces the subset on a held one.  Whether every uncovered subset can
+be matched does not depend on which maximum matching is held, so the
+repair's order changes its work, never a verdict, a node count or a
+witness.  The prune cuts only subtrees without a complete leaf and the
+visiting order is unchanged, so answers and witnesses do not depend on
+``cover_prune``, and it never adds nodes.
 Where fewer vertices are uncolored than colors unopened, Hall's
 condition fails, so the class bound (``used + n - i < t``) cuts only
 when ``cover_prune`` is off.
@@ -45,7 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -285,8 +290,10 @@ class _Hall:
     open edges with that color mask.  A trail of (list, index, old
     value) lets ``undo`` restore the state from before ``assign``.
 
-    ``fits`` calls ``_distinct_colors`` only when a neighbor bars some
-    open vertex from a lacking color and three or more cover them all.
+    ``fits`` answers at once unless a neighbor bars some open vertex
+    from a lacking color, and calls ``_distinct_colors`` only when three
+    or more then cover them all.  Verdicts are Hall's condition, which
+    no choice of matching changes, so ``_augment``'s order cannot.
     """
 
     __slots__ = ("rows", "edges_of", "color_of", "barred", "emask", "rem",
@@ -319,22 +326,21 @@ class _Hall:
         if e & ~s:
             return False
         need = s ^ e
-        barred, color_of = self.barred, self.color_of
+        barred, color_of, row = self.barred, self.color_of, self.rows[j]
+        for u in row:
+            if color_of[u] < 0 and barred[u] & need:
+                break
+        else:  # no open vertex is barred from a color S lacks
+            return True
         allowed = []
-        tight = False  # some vertex is barred from a color S lacks
-        for u in self.rows[j]:
+        union = 0
+        for u in row:
             if color_of[u] < 0:
                 a = need & ~barred[u]
-                if a != need:
-                    if not a:
-                        return False
-                    tight = True
+                if not a:
+                    return False
                 allowed.append(a)
-        if not tight:
-            return True
-        union = 0
-        for a in allowed:
-            union |= a
+                union |= a
         # two vertices with nonempty masks covering both colors can
         # always take one each
         return union == need and (len(allowed) < 3
@@ -397,31 +403,42 @@ class _Hall:
         return True
 
     def _augment(self, root) -> bool:
-        """Seat subset root by a breadth-first search for an augmenting
-        path: a subset reached takes an edge that fits it, and the
-        subset on that edge is reached next.  The path ends at a free
-        edge; each subset on it moves one edge along.  When the search
-        fails, the subsets reached fit fewer edges than there are of
-        them, and Hall's condition fails."""
-        holder, bucket, subs, fits = self.holder, self.bucket, self.subs, \
-            self.fits
-        came = {root: None}  # subset -> (the subset after its edge, that edge)
-        queue = [root]
-        for x in queue:
-            for mask in subs[x]:
-                for j in bucket[mask]:
-                    y = holder[j]
-                    if y in came or not fits(j, x):
-                        continue
-                    if y < 0:
-                        while x != root:  # x takes j, freeing its own
-                            prev, e = came[x]
-                            self._seat(x, j)
-                            x, j = prev, e
-                        self._seat(root, j)
-                        return True
-                    came[y] = (x, j)
-                    queue.append(y)
+        """Seat subset root by a depth-first search for an augmenting
+        path with MC21's lookahead (Duff, Kaya & Ucar, ACM TOMS 2011): a
+        subset just reached takes the first free edge that fits it, else
+        goes on to the holder, not yet reached, of a held edge that fits
+        it.  Each subset on a path that reaches a free edge moves one
+        edge along.  When the search fails, the subsets reached fit fewer
+        edges than there are of them, and Hall's condition fails.  The
+        stack is explicit: a path can be as long as the uncovered
+        subsets are many."""
+        at, holder, bucket, subs, fits = self.at, self.holder, \
+            self.bucket, self.subs, self.fits
+        reached = {root}
+        path = [root]  # each later subset holds an edge the one before fits
+        rest = []      # per subset on the path, its edges not yet tried
+        while path:
+            x = path[-1]
+            if len(rest) < len(path):  # x was just reached: look ahead
+                for mask in subs[x]:
+                    for j in bucket[mask]:
+                        if holder[j] < 0 and fits(j, x):
+                            for y in reversed(path):  # each takes j, frees its own
+                                nxt = at[y]
+                                self._seat(y, j)
+                                j = nxt
+                            return True
+                rest.append(chain.from_iterable(bucket[mask]
+                                                for mask in subs[x]))
+            for j in rest[-1]:
+                y = holder[j]
+                if y >= 0 and y not in reached and fits(j, x):
+                    reached.add(y)
+                    path.append(y)
+                    break
+            else:  # no way on from x
+                path.pop()
+                rest.pop()
         return False
 
     def undo(self, ev, bit):

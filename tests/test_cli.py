@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -484,6 +486,29 @@ class TestOutputBytes:
 
 class TestRealPipes:
     """True subprocess checks of the documented shell pipelines."""
+
+    def test_queries_import_no_module(self):
+        # a module first imported by a query is paid for on every run, as
+        # np.unique's import of numpy.ma (10-25 ms) was under numpy 2
+        doc = Path(__file__).parent / "data" / "order9.json"
+        script = """
+import contextlib, io, json, sys
+from pathlib import Path
+import hypercolor.cli as cli
+from hypercolor import parse_hypergraph, spectrum
+before = set(sys.modules)
+spectrum(parse_hypergraph(Path(sys.argv[1]).read_text()))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["solve", sys.argv[1], "--chi"])
+print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))
+"""
+        src = str(Path(solver.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, str(doc)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, out, new = json.loads(proc.stdout)
+        assert (code, out, new) == (0, "3\n", [])
 
     def test_gen_solve_pipe(self):
         gen = subprocess.run([sys.executable, "-m", "hypercolor.cli",

@@ -430,32 +430,96 @@ def _hall_oracle(H, t, color_of, vertex_level):
     return all(("S", S) in match for S in subsets)
 
 
+def _color(hall, rows, rank_of, v, c):
+    """Write v := c into the lists hall reads, as exists_complete does
+    before ``assign``; returns assign's arguments (ev, bit, closed,
+    newly)."""
+    bit = 1 << c
+    hall.color_of[v] = c
+    ev = hall.edges_of[v]
+    newly = [w for w in {w for j in ev for w in rows[j]} - {v}
+             if not hall.barred[w] & bit]
+    for w in newly:
+        hall.barred[w] |= bit
+    closed = []
+    for j in ev:
+        hall.emask[j] |= bit
+        hall.rem[j] -= 1
+        if hall.rem[j] == 0:
+            closed.append(rank_of[hall.emask[j]])
+    return ev, bit, closed, newly
+
+
+def _uncolor(hall, v, ev, bit, newly):
+    """Undo ``_color`` after ``undo``, as exists_complete does."""
+    for j in ev:
+        hall.emask[j] ^= bit
+        hall.rem[j] += 1
+    for w in newly:
+        hall.barred[w] ^= bit
+    hall.color_of[v] = -1
+
+
 def _replay(H, t, steps):
     """_Hall.assign's answer after each (v, c) in steps, with the state
     kept as exists_complete keeps it; stops after the first False."""
     rows = H.edge_tuples()
     rank_of = solver._subset_tables(t, H.k)[0]
     hall = _hall_state(H.n, H.k, t, rows, {})
-    color_of, barred, emask, rem = (hall.color_of, hall.barred, hall.emask,
-                                    hall.rem)
     for v, c in steps:
-        bit = 1 << c
-        color_of[v] = c
-        ev = hall.edges_of[v]
-        newly = [w for w in {w for j in ev for w in rows[j]} - {v}
-                 if not barred[w] & bit]
-        for w in newly:
-            barred[w] |= bit
-        closed = []
-        for j in ev:
-            emask[j] |= bit
-            rem[j] -= 1
-            if rem[j] == 0:
-                closed.append(rank_of[emask[j]])
-        ok = hall.assign(ev, bit, closed, newly)
+        ok = hall.assign(*_color(hall, rows, rank_of, v, c))
         yield ok
         if not ok:
             return
+
+
+def _random_replays(rng):
+    """(H, t, steps): random k = 2..4 instances with C(t, k) <= m, each
+    with the steps (vertex, color) of a random proper partial coloring."""
+    for _ in range(150):
+        k = rng.randint(2, 4)
+        n = rng.randint(k + 2, 9)
+        H = random_uniform_hypergraph(
+            rng, n, k, rng.randint(n, min(3 * n, math.comb(n, k))))
+        t = rng.randint(k, max(k, psi_upper_bound(H)))
+        if math.comb(t, k) > H.m:
+            continue
+        vs = list(range(n))
+        rng.shuffle(vs)
+        steps = []
+        color_of = [-1] * n
+        for v in vs:
+            held = {color_of[w] for e in H.edge_tuples() if v in e
+                    for w in e}
+            free = [c for c in range(t) if c not in held]
+            if not free:
+                break
+            color_of[v] = rng.choice(free)
+            steps.append((v, color_of[v]))
+        yield H, t, steps
+
+
+def _matching_state(hall):
+    return (list(hall.at), list(hall.holder),
+            {mask: frozenset(js) for mask, js in hall.bucket.items()})
+
+
+def _assert_matched(hall):
+    """Every uncovered subset sits on its own open edge, which it fits;
+    covered subsets sit nowhere; each open edge is in its mask's bucket."""
+    at, holder = hall.at, hall.holder
+    m = len(hall.rows)
+    open_edges = [j for j in range(m) if hall.rem[j]]
+    covered = {hall.emask[j] for j in range(m) if not hall.rem[j]}
+    for r, j in enumerate(at):
+        assert (j >= 0) == (hall.smask[r] not in covered)
+        if j >= 0:
+            assert holder[j] == r
+            assert hall.rem[j] and hall.fits(j, r)
+    for j, r in enumerate(holder):
+        assert r < 0 or at[r] == j
+    assert sorted(j for js in hall.bucket.values() for j in js) == open_edges
+    assert all(j in hall.bucket[hall.emask[j]] for j in open_edges)
 
 
 class TestHallBound:
@@ -474,32 +538,64 @@ class TestHallBound:
         # each assignment repairs the matching in place; a matching built
         # from scratch must give the same verdict at every step
         verdicts = set()
-        for _ in range(150):
-            k = rng.randint(2, 4)
-            n = rng.randint(k + 2, 9)
-            H = random_uniform_hypergraph(
-                rng, n, k, rng.randint(n, min(3 * n, math.comb(n, k))))
-            t = rng.randint(k, max(k, psi_upper_bound(H)))
-            if math.comb(t, k) > H.m:
-                continue
-            vs = list(range(n))
-            rng.shuffle(vs)
-            steps = []
-            color_of = [-1] * n
-            for v in vs:  # a random proper partial coloring
-                held = {color_of[w] for e in H.edge_tuples() if v in e
-                        for w in e}
-                free = [c for c in range(t) if c not in held]
-                if not free:
-                    break
-                color_of[v] = rng.choice(free)
-                steps.append((v, color_of[v]))
-            color_of = [-1] * n
+        for H, t, steps in _random_replays(rng):
+            color_of = [-1] * H.n
             for (v, c), ok in zip(steps, _replay(H, t, steps)):
                 color_of[v] = c
                 assert ok == _hall_oracle(H, t, color_of, True), (H, t, steps)
                 verdicts.add(ok)
         assert verdicts == {True, False}
+
+    def test_repair_keeps_its_invariants(self, rng):
+        # the replays above, each assign then undone in reverse order as
+        # the search backtracks: a True assign leaves every uncovered
+        # subset seated on an edge it fits, and undo restores at, holder
+        # and the buckets exactly
+        assigns = 0
+        for H, t, steps in _random_replays(rng):
+            rows = H.edge_tuples()
+            rank_of = solver._subset_tables(t, H.k)[0]
+            hall = _hall_state(H.n, H.k, t, rows, {})
+            _assert_matched(hall)
+            done = []
+            for v, c in steps:
+                before = _matching_state(hall)
+                args = _color(hall, rows, rank_of, v, c)
+                ok = hall.assign(*args)
+                done.append((v, args, before))
+                if not ok:
+                    break
+                _assert_matched(hall)
+                assigns += 1
+            for v, (ev, bit, closed, newly), before in reversed(done):
+                hall.undo(ev, bit)
+                assert _matching_state(hall) == before, (H, t, steps)
+                _uncolor(hall, v, ev, bit, newly)
+        assert assigns > 300
+
+
+class TestHallWork:
+    """The repair's work, counted in ``_Hall.fits`` calls on fixed trees."""
+
+    @pytest.mark.parametrize("k,r,t,budget,status,nodes,calls", [
+        # the breadth-first repair made 23,072 and 8,535 calls on these trees
+        (3, 6, 9, None, "none", 97, 9_719),
+        (4, 10, 9, 200, "found", 48, 3_893),
+    ])
+    def test_fits_calls(self, monkeypatch, k, r, t, budget, status, nodes,
+                        calls):
+        made = 0
+        fits = solver._Hall.fits
+
+        def counted(hall, j, s):
+            nonlocal made
+            made += 1
+            return fits(hall, j, s)
+
+        monkeypatch.setattr(solver._Hall, "fits", counted)
+        res = exists_complete(grid_transversal(k, r), t, budget=budget)
+        assert (res.status, res.nodes) == (status, nodes)
+        assert made == calls
 
 
 @st.composite
