@@ -184,17 +184,17 @@ class TestSolve:
                            stdin="nope", monkeypatch=monkeypatch)
         assert code == 1 and "error:" in err
 
-    def test_oversized_subset_table_exit_1(self, capsys, tmp_path):
-        # 25 colour 24-subsets with 2**24 - 1 submasks each: refused with
-        # one error line before any table is built
+    def test_k24_instance_decided(self, capsys, tmp_path):
+        # 25 colour 24-subsets with 2**24 - 1 submasks each, on 30 edges:
+        # decided in one node, with no submask table
         rng = random.Random(0)
         doc = tmp_path / "k24.json"
         doc.write_text(serialize_hypergraph(Hypergraph(
             48, 24, [sorted(rng.sample(range(48), 24)) for _ in range(30)])))
         code, out, err = run(capsys, ["solve", str(doc), "--t", "25"])
-        assert code == 1 and out == ""
-        assert err == ("error: C(25,24) * (2**24 - 1) = 419430375 subset "
-                       "submasks exceed the exact-search cap\n")
+        assert code == 0 and err == ""
+        assert out == ('{"query":"complete","t":25,"status":"none",'
+                       '"witness":null,"nodes":1}\n')
 
     def test_vertex_beyond_id_dtype_exit_1(self, capsys, monkeypatch):
         # 70000 does not fit the uint8 ids of n=100: a range error, no traceback

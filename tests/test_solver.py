@@ -4,7 +4,6 @@ import itertools
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import time
@@ -322,7 +321,7 @@ def _hall_state(n, k, t, rows, colored):
     """A _Hall over edges rows at the root, and the lists it reads, with
     the vertices in colored (vertex -> color) then written in by hand;
     the matching itself is left as at the root."""
-    _rank_of, smask, subs = solver._subset_tables(t, k)
+    _rank_of, smask = solver._subset_tables(t, k)
     color_of = [-1] * n
     barred = [0] * n
     emask = [0] * len(rows)
@@ -330,7 +329,7 @@ def _hall_state(n, k, t, rows, colored):
     edges_of = [[j for j, row in enumerate(rows) if v in row]
                 for v in range(n)]
     hall = solver._Hall(rows, edges_of, color_of, barred, emask, rem,
-                        smask, subs)
+                        smask, k)
     for v, c in colored.items():
         color_of[v] = c
         for j in edges_of[v]:
@@ -475,7 +474,10 @@ def _replay(H, t, steps):
 
 def _random_replays(rng):
     """(H, t, steps): random k = 2..4 instances with C(t, k) <= m, each
-    with the steps (vertex, color) of a random proper partial coloring."""
+    with the steps (vertex, color) of a random proper partial coloring.
+    Some have fewer edges than 2^k and some not, so both of the Hall
+    bound's lookahead routes run."""
+    routes = set()
     for _ in range(150):
         k = rng.randint(2, 4)
         n = rng.randint(k + 2, 9)
@@ -496,12 +498,16 @@ def _random_replays(rng):
                 break
             color_of[v] = rng.choice(free)
             steps.append((v, color_of[v]))
+        routes.add(H.m < 1 << k)
         yield H, t, steps
+    assert routes == {True, False}
 
 
 def _matching_state(hall):
+    # buckets are made on first use and kept when emptied; an empty one
+    # holds no edge
     return (list(hall.at), list(hall.holder),
-            {mask: frozenset(js) for mask, js in hall.bucket.items()})
+            {mask: frozenset(js) for mask, js in hall.bucket.items() if js})
 
 
 def _assert_matched(hall):
@@ -584,6 +590,26 @@ class TestHallWork:
     ])
     def test_fits_calls(self, monkeypatch, k, r, t, budget, status, nodes,
                         calls):
+        res, made = self._counted(monkeypatch, grid_transversal(k, r), t,
+                                  budget)
+        assert (res.status, res.nodes) == (status, nodes)
+        assert made == calls
+
+    @pytest.mark.parametrize("m,k,t,status,nodes,calls", [
+        # fewer edges than 2^k: the lookahead picks masks from the buckets
+        (18, 16, 17, "none", 17, 329),
+        (22, 20, 21, "none", 21, 491),
+        (22, 20, 22, "found", 22, 5_448),
+    ])
+    def test_fits_calls_with_fewer_edges_than_masks(
+            self, monkeypatch, m, k, t, status, nodes, calls):
+        res, made = self._counted(monkeypatch, complete_uniform(m, k), t,
+                                  None)
+        assert (res.status, res.nodes) == (status, nodes)
+        assert made == calls
+
+    @staticmethod
+    def _counted(monkeypatch, H, t, budget):
         made = 0
         fits = solver._Hall.fits
 
@@ -593,9 +619,7 @@ class TestHallWork:
             return fits(hall, j, s)
 
         monkeypatch.setattr(solver._Hall, "fits", counted)
-        res = exists_complete(grid_transversal(k, r), t, budget=budget)
-        assert (res.status, res.nodes) == (status, nodes)
-        assert made == calls
+        return exists_complete(H, t, budget=budget), made
 
 
 @st.composite
@@ -1053,6 +1077,26 @@ class TestDistinctColors:
         assert sum(spent for _, spent in calls) < 0.25
 
 
+class TestWideEdges:
+    """Searches where a colour subset has more submasks than H has edges."""
+
+    @pytest.mark.parametrize("k", range(14, 21))
+    def test_complete_uniform_on_k_plus_2_vertices(self, k):
+        H = complete_uniform(k + 2, k)
+        res = exists_complete(H, k + 1)
+        assert (res.status, res.nodes) == ("none", k + 1)
+        assert exists_complete(H, k + 2).status == "found"
+
+    def test_k24_search_keeps_no_submask_table(self):
+        # C(25, 24) = 25 subsets with 2**24 - 1 proper submasks each: a
+        # table of them, or a bucket for each, would take gigabytes
+        rng = random.Random(0)
+        H = Hypergraph(48, 24, [sorted(rng.sample(range(48), 24)) for _ in range(30)])
+        res, peak = traced_peak(lambda: exists_complete(H, 25))
+        assert (res.status, res.nodes) == ("none", 1)
+        assert peak < 4 * 2**20
+
+
 class TestTypedErrors:
     """Refusals and degenerate answers of the deciders."""
 
@@ -1072,20 +1116,6 @@ class TestTypedErrors:
         with pytest.raises(ValueError,
                            match=r"^C\(4,2\) = 6 exceeds the exact-search cap$"):
             exists_complete(complete_uniform(6, 2), 4)
-
-    def test_submask_table_refused_before_it_is_built(self, monkeypatch):
-        # C(25, 24) = 25 subsets, but 25 * (2**24 - 1) proper submasks: the
-        # table and the Hall bound's buckets would take gigabytes
-        def unreachable(t, k):
-            raise AssertionError("the subset tables were built")
-
-        monkeypatch.setattr(solver, "_subset_tables", unreachable)
-        rng = random.Random(0)
-        H = Hypergraph(48, 24, [sorted(rng.sample(range(48), 24)) for _ in range(30)])
-        with pytest.raises(ValueError, match=re.escape(
-                "C(25,24) * (2**24 - 1) = 419430375 subset submasks exceed "
-                "the exact-search cap")):
-            exists_complete(H, 25)
 
     def test_chromatic_number_of_the_empty_hypergraph(self):
         assert chromatic_number(Hypergraph(0, 3, [])) == 0
