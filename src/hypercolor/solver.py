@@ -237,7 +237,7 @@ def _subset_tables(t: int, k: int):
     Returns (rank_of, smask): the rank of each subset's color mask and the
     color mask of each rank.  A function of (t, k) alone, so repeated
     searches build it once.  No submasks, 2^k - 1 per subset: ``_Hall``
-    lists those it scans by one of two routes.
+    scans only those its open edges carry.
     """
     rank_of = {sum(1 << c for c in sub): subset_rank(sub)
                for sub in combinations(range(t), k)}
@@ -274,13 +274,10 @@ class _Hall:
 
     at[r] is the edge subset r sits on (-1 when covered or displaced),
     holder[j] the subset on edge j (-1 when free) and bucket[mask] the
-    open edges with that color mask, made on first use.  A trail of
-    (list, index, old value) lets ``undo`` restore the state from before
-    ``assign``.  ``_augment`` scans the buckets of subset r's proper
-    submasks, largest first: with m < 2^k, the nonempty ones among the
-    buckets made so far (so no cost grows with 2^k); else every submask,
-    listed on r's first reach and kept, as picking made the decide
-    benchmark's rounds 12 % slower.  Both visit the same edges in turn.
+    open edges with that color mask, never empty: ``_augment`` scans the
+    buckets inside r's mask, at most m of them whatever 2^k is.  A trail
+    of (list, index, old value) lets ``undo`` restore the state from
+    before ``assign``.
 
     ``fits`` answers at once unless a neighbor bars some open vertex
     from a lacking color, and calls ``_distinct_colors`` only when three
@@ -289,10 +286,10 @@ class _Hall:
     """
 
     __slots__ = ("rows", "edges_of", "color_of", "barred", "emask", "rem",
-                 "smask", "subs", "at", "holder", "bucket", "trail", "marks")
+                 "smask", "at", "holder", "bucket", "sets", "trail",
+                 "marks")
 
-    def __init__(self, rows, edges_of, color_of, barred, emask, rem,
-                 smask, k):
+    def __init__(self, rows, edges_of, color_of, barred, emask, rem, smask):
         self.rows = rows
         self.edges_of = edges_of
         self.color_of = color_of
@@ -300,13 +297,15 @@ class _Hall:
         self.emask = emask
         self.rem = rem
         self.smask = smask
-        self.subs = None if len(rows) < 1 << k else {}  # rank -> submasks
         # at the root every edge is blank and fits every subset, and the
         # counting bound gave m >= C(t, k)
         total = len(smask)
         self.at = list(range(total))
         self.holder = list(range(total)) + [-1] * (len(rows) - total)
-        self.bucket = defaultdict(set, {0: set(range(len(rows)))})
+        # one set per mask for the whole search, kept when it empties: a
+        # new set would iterate in another order and change the work
+        self.sets = defaultdict(set, {0: set(range(len(rows)))})
+        self.bucket = {0: self.sets[0]}
         self.trail = []
         self.marks = []
 
@@ -362,14 +361,19 @@ class _Hall:
         re-seated by ``_augment``.  False when one cannot be, as Hall's
         condition then fails.
         """
-        emask, rem, bucket = self.emask, self.rem, self.bucket
+        emask, rem, bucket, sets = self.emask, self.rem, self.bucket, \
+            self.sets
         at, holder, fits = self.at, self.holder, self.fits
         self.marks.append(len(self.trail))
         for j in ev:
             new = emask[j]
-            bucket[new ^ bit].remove(j)
+            was = new ^ bit
+            js = bucket[was]
+            js.remove(j)
+            if not js:
+                del bucket[was]
             if rem[j]:
-                bucket[new].add(j)
+                bucket.setdefault(new, sets[new]).add(j)
         for r in closed:  # a newly covered subset gives its edge back
             if at[r] >= 0:
                 self._unseat(r)
@@ -393,19 +397,6 @@ class _Hall:
                 return False
         return True
 
-    def _masks(self, x):
-        """Subset x's proper submasks, largest first (see the class)."""
-        s = self.smask[x]
-        if self.subs is None:
-            return sorted((mask for mask, js in self.bucket.items()
-                           if js and not mask & ~s), reverse=True)
-        masks = self.subs[x] = []
-        e = s
-        while e:
-            e = (e - 1) & s
-            masks.append(e)
-        return masks
-
     def _augment(self, root) -> bool:
         """Seat subset root by a depth-first search for an augmenting
         path with MC21's lookahead (Duff, Kaya & Ucar, ACM TOMS 2011): a
@@ -416,15 +407,17 @@ class _Hall:
         edges than there are of them, and Hall's condition fails.  The
         stack is explicit: a path can be as long as the uncovered
         subsets are many."""
-        at, holder, bucket, fits, subs = self.at, self.holder, \
-            self.bucket, self.fits, self.subs
+        at, holder, bucket, fits, smask = self.at, self.holder, \
+            self.bucket, self.fits, self.smask
         reached = {root}
         path = [root]  # each later subset holds an edge the one before fits
         rest = []      # per subset on the path, its edges not yet tried
         while path:
             x = path[-1]
             if len(rest) < len(path):  # x was just reached: look ahead
-                masks = subs[x] if subs and x in subs else self._masks(x)
+                out = ~smask[x]
+                masks = [mask for mask in bucket if not mask & out]
+                masks.sort(reverse=True)
                 for mask in masks:
                     for j in bucket[mask]:
                         if holder[j] < 0 and fits(j, x):
@@ -452,12 +445,16 @@ class _Hall:
         while len(trail) > mark:
             arr, i, old = trail.pop()
             arr[i] = old
-        emask, rem, bucket = self.emask, self.rem, self.bucket
+        emask, rem, bucket, sets = self.emask, self.rem, self.bucket, \
+            self.sets
         for j in ev:
             new = emask[j]
             if rem[j]:
-                bucket[new].remove(j)
-            bucket[new ^ bit].add(j)
+                js = bucket[new]
+                js.remove(j)
+                if not js:
+                    del bucket[new]
+            bucket.setdefault(new ^ bit, sets[new ^ bit]).add(j)
 
 
 def exists_complete(H: Hypergraph, t: int, *,
@@ -510,8 +507,8 @@ def exists_complete(H: Hypergraph, t: int, *,
     covered = 0
     n_open = m
     bud = _Budget(budget)
-    hall = _Hall(rows, edges_of, color_of, barred, emask, rem, smask,
-                 k) if cover_prune else None
+    hall = _Hall(rows, edges_of, color_of, barred, emask, rem,
+                 smask) if cover_prune else None
 
     def descend(i: int, used: int) -> bool:
         nonlocal covered, n_open

@@ -328,8 +328,7 @@ def _hall_state(n, k, t, rows, colored):
     rem = [k] * len(rows)
     edges_of = [[j for j, row in enumerate(rows) if v in row]
                 for v in range(n)]
-    hall = solver._Hall(rows, edges_of, color_of, barred, emask, rem,
-                        smask, k)
+    hall = solver._Hall(rows, edges_of, color_of, barred, emask, rem, smask)
     for v, c in colored.items():
         color_of[v] = c
         for j in edges_of[v]:
@@ -474,10 +473,7 @@ def _replay(H, t, steps):
 
 def _random_replays(rng):
     """(H, t, steps): random k = 2..4 instances with C(t, k) <= m, each
-    with the steps (vertex, color) of a random proper partial coloring.
-    Some have fewer edges than 2^k and some not, so both of the Hall
-    bound's lookahead routes run."""
-    routes = set()
+    with the steps (vertex, color) of a random proper partial coloring."""
     for _ in range(150):
         k = rng.randint(2, 4)
         n = rng.randint(k + 2, 9)
@@ -498,21 +494,18 @@ def _random_replays(rng):
                 break
             color_of[v] = rng.choice(free)
             steps.append((v, color_of[v]))
-        routes.add(H.m < 1 << k)
         yield H, t, steps
-    assert routes == {True, False}
 
 
 def _matching_state(hall):
-    # buckets are made on first use and kept when emptied; an empty one
-    # holds no edge
     return (list(hall.at), list(hall.holder),
-            {mask: frozenset(js) for mask, js in hall.bucket.items() if js})
+            {mask: frozenset(js) for mask, js in hall.bucket.items()})
 
 
 def _assert_matched(hall):
     """Every uncovered subset sits on its own open edge, which it fits;
-    covered subsets sit nowhere; each open edge is in its mask's bucket."""
+    covered subsets sit nowhere; each open edge is in its mask's bucket,
+    and no bucket is empty."""
     at, holder = hall.at, hall.holder
     m = len(hall.rows)
     open_edges = [j for j in range(m) if hall.rem[j]]
@@ -524,6 +517,7 @@ def _assert_matched(hall):
             assert hall.rem[j] and hall.fits(j, r)
     for j, r in enumerate(holder):
         assert r < 0 or at[r] == j
+    assert all(hall.bucket.values())
     assert sorted(j for js in hall.bucket.values() for j in js) == open_edges
     assert all(j in hall.bucket[hall.emask[j]] for j in open_edges)
 
@@ -583,33 +577,22 @@ class TestHallBound:
 class TestHallWork:
     """The repair's work, counted in ``_Hall.fits`` calls on fixed trees."""
 
-    @pytest.mark.parametrize("k,r,t,budget,status,nodes,calls", [
+    @pytest.mark.parametrize("make,t,budget,status,nodes,calls", [
         # the breadth-first repair made 23,072 and 8,535 calls on these trees
-        (3, 6, 9, None, "none", 97, 9_719),
-        (4, 10, 9, 200, "found", 48, 3_893),
+        pytest.param(lambda: grid_transversal(3, 6), 9, None, "none", 97,
+                     9_719, id="3-6-9-None-none-97-9719"),
+        pytest.param(lambda: grid_transversal(4, 10), 9, 200, "found", 48,
+                     3_893, id="4-10-9-200-found-48-3893"),
+        # fewer edges than a subset has submasks
+        pytest.param(lambda: complete_uniform(18, 16), 17, None, "none", 17,
+                     329, id="complete_uniform-18-16-17-None-none-17-329"),
+        pytest.param(lambda: complete_uniform(22, 20), 21, None, "none", 21,
+                     491, id="complete_uniform-22-20-21-None-none-21-491"),
+        pytest.param(lambda: complete_uniform(22, 20), 22, None, "found", 22,
+                     5_448, id="complete_uniform-22-20-22-None-found-22-5448"),
     ])
-    def test_fits_calls(self, monkeypatch, k, r, t, budget, status, nodes,
+    def test_fits_calls(self, monkeypatch, make, t, budget, status, nodes,
                         calls):
-        res, made = self._counted(monkeypatch, grid_transversal(k, r), t,
-                                  budget)
-        assert (res.status, res.nodes) == (status, nodes)
-        assert made == calls
-
-    @pytest.mark.parametrize("m,k,t,status,nodes,calls", [
-        # fewer edges than 2^k: the lookahead picks masks from the buckets
-        (18, 16, 17, "none", 17, 329),
-        (22, 20, 21, "none", 21, 491),
-        (22, 20, 22, "found", 22, 5_448),
-    ])
-    def test_fits_calls_with_fewer_edges_than_masks(
-            self, monkeypatch, m, k, t, status, nodes, calls):
-        res, made = self._counted(monkeypatch, complete_uniform(m, k), t,
-                                  None)
-        assert (res.status, res.nodes) == (status, nodes)
-        assert made == calls
-
-    @staticmethod
-    def _counted(monkeypatch, H, t, budget):
         made = 0
         fits = solver._Hall.fits
 
@@ -619,7 +602,9 @@ class TestHallWork:
             return fits(hall, j, s)
 
         monkeypatch.setattr(solver._Hall, "fits", counted)
-        return exists_complete(H, t, budget=budget), made
+        res = exists_complete(make(), t, budget=budget)
+        assert (res.status, res.nodes) == (status, nodes)
+        assert made == calls
 
 
 @st.composite
@@ -1078,7 +1063,7 @@ class TestDistinctColors:
 
 
 class TestWideEdges:
-    """Searches where a colour subset has more submasks than H has edges."""
+    """Searches at larger k: nothing the Hall bound keeps grows with 2^k."""
 
     @pytest.mark.parametrize("k", range(14, 21))
     def test_complete_uniform_on_k_plus_2_vertices(self, k):
@@ -1095,6 +1080,16 @@ class TestWideEdges:
         res, peak = traced_peak(lambda: exists_complete(H, 25))
         assert (res.status, res.nodes) == ("none", 1)
         assert peak < 4 * 2**20
+
+    def test_reached_subsets_keep_no_submask_lists(self):
+        # 300 edges >= 2^8, and the repair reaches 154 of the C(11, 8) =
+        # 165 subsets: a list of the 255 submasks of each took 1.9 MB
+        rng = random.Random(0)
+        H = Hypergraph(14, 8, rng.sample(
+            list(itertools.combinations(range(14), 8)), 300))
+        res, peak = traced_peak(lambda: exists_complete(H, 11))
+        assert (res.status, res.nodes) == ("none", 4)
+        assert peak < 2**20
 
 
 class TestTypedErrors:
