@@ -61,11 +61,14 @@ def _budget(args, default: int | None = None) -> int | None:
     return args.budget
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, binary: bool = False) -> str | bytes:
+    """The document at path, '-' for stdin: its UTF-8 text, or a file's
+    bytes when binary, which parse_hypergraph decodes a slice at a time."""
     if path == "-":
         return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        return Path(path).read_bytes() if binary else Path(path).read_text(
+            encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}")
 
@@ -99,7 +102,7 @@ def _cmd_gen(args) -> int:
     elif fam == "complete-uniform":
         H = complete_uniform(args.m, args.k)
     else:  # split-lift
-        pattern = SplitPattern.from_json(_read_text(args.pattern))
+        pattern = SplitPattern.from_json(_read(args.pattern))
         H = split_lift(pattern)
     _emit(_serialized_pieces(H, args.pretty), args.out)
     return EXIT_OK
@@ -108,7 +111,7 @@ def _cmd_gen(args) -> int:
 # -------------------------------------------------------------- solve
 
 def _cmd_solve(args) -> int:
-    H = parse_hypergraph(_read_text(args.file))
+    H = parse_hypergraph(_read(args.file, binary=True))
     budget = _budget(args)
     code = EXIT_OK
 
@@ -206,7 +209,7 @@ def _cmd_tri_enumerate(args) -> int:
 
 
 def _cmd_tri_face(args) -> int:
-    e = tri.parse_embedding(_read_text(args.file))
+    e = tri.parse_embedding(_read(args.file))
     H = tri.face_hypergraph(e)
     _emit(_serialized_pieces(H, args.pretty), args.out)
     return EXIT_OK
@@ -233,7 +236,7 @@ def _cmd_tri_find_gap(args) -> int:
 # ------------------------------------------------------------- export
 
 def _cmd_export_dot(args) -> int:
-    H = parse_hypergraph(_read_text(args.file))
+    H = parse_hypergraph(_read(args.file, binary=True))
     _emit(incidence_graph(H).to_dot(), args.out)
     return EXIT_OK
 

@@ -23,13 +23,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (Coloring, DocumentError, Hypergraph, _chunks, _id_dtype,
-                   dump_json, load_json)
+from .core import (_CHUNK_ROWS, Coloring, DocumentError, Hypergraph, _chunks,
+                   _id_dtype, dump_json, load_json)
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
-# tails the grid generator tests in one numpy call, at least
-_GRID_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
         return out
 
     # a block is one q0 and a run of q1 values, `step` of them, so that a
-    # numpy call covers at least _GRID_BLOCK_ROWS tails
-    step = min(r, max(1, _GRID_BLOCK_ROWS // tails))
+    # numpy call covers about one chunk of tails (one q1 when they are more)
+    step = min(r, max(1, _CHUNK_ROWS // tails))
     kept = []  # (q0, first q1, its kept tails one bit each, their count)
     for q0 in range(r):
         score0 = score + meets([q0])[0]

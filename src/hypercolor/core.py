@@ -7,12 +7,13 @@ serialize to identical bytes.  Its ids take the narrowest unsigned type
 that holds n - 1 (``_id_dtype``), so code that subtracts them casts
 first.  The array representation is what lets the large constructed
 families (tens of millions of edges) stay workable in a few hundred MB.
-The bulk paths work one column at a time over chunks of
-edges, never on per-edge Python objects or (m, k) temporaries: the
+The bulk paths work one column at a time over chunks of 16k
+edges (``_CHUNK_ROWS``), never on per-edge Python objects or (m, k)
+temporaries, so the edge array is the only memory that grows with m: the
 predicates gather colors per column and sort each row with a
 compare-exchange network over the k columns.  The public constructor
-copies and validates whatever it is given, checking row order over the
-whole array and sorting only what is out of order; the grid generator,
+copies and validates whatever it is given, checking row order a chunk at
+a time and sorting only what is out of order; the grid generator,
 whose rows are canonical by construction, hands over its fresh array
 through ``Hypergraph._trusted`` instead, which keeps it without a copy.
 
@@ -39,9 +40,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Rows per chunk for the bulk paths: 64k rows keep each column's
-# temporaries in cache (measured faster than 2M-row chunks).
-_CHUNK_ROWS = 1 << 16
+# Rows per chunk for the bulk paths and the grid generator's blocks.  At
+# 16k rows an intp column is 128 KiB, and the checks' temporaries stay a
+# few such columns: verify_grid_invariants on grid(5,20) traced 1.5 MB
+# (5.9 MB at 64k rows), with the same wall time; 8k rows ran it slower
+# and lowered no peak.
+_CHUNK_ROWS = 1 << 14
 
 
 class HypergraphError(ValueError):
@@ -206,20 +210,21 @@ class Hypergraph:
         if m == 0:
             return arr
         # sort each row unless every column already lies below the next
-        # (a parsed written document has sorted rows)
-        if not all(bool((arr[:, i] < arr[:, i + 1]).all()) for i in range(k - 1)):
+        # (a parsed written document has sorted rows), checked by chunks
+        if not all(bool((arr[sl, i] < arr[sl, i + 1]).all())
+                   for sl in _chunks(m) for i in range(k - 1)):
             arr = np.sort(arr, axis=1)
             repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
             if repeats.any():
                 raise UniformityError(
                     f"edge {arr[int(repeats.argmax())].tolist()} repeats a vertex")
-        if m > 1:
-            # lexicographic row order; skip the sort when rows already comply
-            # (as the rows of a parsed written document do)
-            later, equal = _row_steps(arr)
-            if not later.all():
-                arr = arr[np.lexsort(arr.T[::-1])]
-                equal = _row_steps(arr)[1]
+        # lexicographic row order, with no duplicate when every row is later
+        # than the one before; sorted only when rows do not comply (as the
+        # rows of a parsed written document do)
+        if not all(_row_steps(arr[sl.start:sl.stop + 1])[0].all()
+                   for sl in _chunks(m - 1)):
+            arr = arr[np.lexsort(arr.T[::-1])]
+            equal = _row_steps(arr)[1]
             if equal.any():
                 raise SimplicityError(
                     f"duplicate edge {arr[int(equal.argmax())].tolist()}")
@@ -590,29 +595,33 @@ def _require_int(doc: dict, key: str) -> int:
 
 # the head of a document in the layout serialize_hypergraph writes,
 # compact or indented, with k and n plain non-negative integers; the end
-# of one row and the start of the next; the close of the rows and the doc
-_HEAD = re.compile(r'\s*\{\s*"k"\s*:\s*(0|[1-9][0-9]*)\s*,\s*"n"\s*:\s*'
-                   r'(0|[1-9][0-9]*)\s*,\s*"edges"\s*:\s*\[\s*'
-                   .replace(r"\s", "[ \t\n\r]"))
-_ROW_CUT = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
-_TAIL = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*\Z")
-# characters of edge rows decoded at once
-_SLICE_CHARS = 1 << 18
-# byte classes in edge rows; 0 for any byte a row of ids cannot hold
+# of one row and the start of the next; the close of the rows and the doc;
+# each compiled for str and for bytes documents
+_HEAD, _ROW_CUT, _TAIL = ({str: re.compile(p), bytes: re.compile(p.encode())} for p in (
+    r'\s*\{\s*"k"\s*:\s*(0|[1-9][0-9]*)\s*,\s*"n"\s*:\s*'
+    r'(0|[1-9][0-9]*)\s*,\s*"edges"\s*:\s*\[\s*'.replace(r"\s", "[ \t\n\r]"),
+    r"\][ \t\n\r]*,[ \t\n\r]*\[", r"\][ \t\n\r]*\}[ \t\n\r]*\Z"))
+# characters (or bytes) of edge rows decoded at once
+_SLICE_CHARS = 1 << 16
+# byte classes in edge rows, a bytes.translate table (numpy's take would
+# copy the bytes to intp indices first); 0 for any byte a row cannot hold
 _DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE = 1, 2, 3, 4, 5
 _BYTE_CLASS = np.zeros(256, dtype=np.int8)
 _BYTE_CLASS[list(b"0123456789[], \t\n\r")] = (
     [_DIGIT] * 10 + [_OPEN, _CLOSE, _COMMA] + [_SPACE] * 4)
+_BYTE_CLASS = _BYTE_CLASS.tobytes()
 
 
-def load_json(text: str):
-    """The value of a JSON document; DocumentError when it is malformed,
-    holds an integer too long for int(), or is nested too deeply to
-    decode."""
+def load_json(text: str | bytes):
+    """The value of a JSON document, str or UTF-8 bytes; DocumentError
+    when it is not UTF-8, is malformed, holds an integer too long for
+    int(), or is nested too deeply to decode."""
     try:
-        return json.loads(text)
+        return json.loads(text.decode() if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not valid UTF-8: {exc}") from None
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits()
         raise DocumentError("not valid JSON: an integer has too many "
@@ -627,13 +636,14 @@ def _int_rows(rows: list) -> bool:
             and set(map(type, chain.from_iterable(rows))) <= {int})
 
 
-def _slice_ids(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
-    """The ids of the rows in the ASCII bytes b, in order, as uint64; None
-    unless b is rows of k ids in range(n), comma-separated, with JSON
+def _slice_ids(chunk: bytes, n: int, k: int) -> np.ndarray | None:
+    """The ids of the rows in chunk, in order, as uint64; None unless
+    chunk is rows of k ids in range(n), comma-separated, with JSON
     whitespace between tokens only."""
-    c = _BYTE_CLASS.take(b)
+    c = np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=np.int8)
     if not c.all():
         return None
+    b = np.frombuffer(chunk, dtype=np.uint8)
     digit = c == _DIGIT
     first = digit.copy()  # the first byte of each run of digits
     first[1:] &= ~digit[:-1]
@@ -658,7 +668,8 @@ def _slice_ids(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
     return None if ids.max() >= n else ids
 
 
-def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None:
+def _edge_rows(text: str | bytes, lo: int, hi: int, n: int,
+               k: int) -> np.ndarray | None:
     """The rows in text[lo:hi] as an (m, k) array in the id dtype, decoded
     from the bytes of one slice of rows at a time with no Python object
     per row or id; None unless every row is a list of k int ids in range(n)."""
@@ -666,11 +677,13 @@ def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None
         return None
     dtype = _id_dtype(n)
     parts = [np.empty((0, k), dtype=dtype)]
+    row_cut = _ROW_CUT[type(text)]
     while lo < hi:
-        cut = _ROW_CUT.search(text, min(lo + _SLICE_CHARS, hi), hi)
+        cut = row_cut.search(text, min(lo + _SLICE_CHARS, hi), hi)
         stop = cut.start() + 1 if cut else hi
-        b = np.frombuffer(text[lo:stop].encode("ascii", "replace"), dtype=np.uint8)
-        ids = _slice_ids(b, n, k)
+        chunk = text[lo:stop]
+        ids = _slice_ids(chunk if isinstance(chunk, bytes)
+                         else chunk.encode("ascii", "replace"), n, k)
         if ids is None:
             return None
         parts.append(ids.astype(dtype).reshape(-1, k))
@@ -678,13 +691,14 @@ def _edge_rows(text: str, lo: int, hi: int, n: int, k: int) -> np.ndarray | None
     return np.concatenate(parts)
 
 
-def _parse_sliced(text: str) -> Hypergraph | None:
+def _parse_sliced(text: str | bytes) -> Hypergraph | None:
     """The hypergraph of a document in the layout serialize_hypergraph
-    writes, its rows decoded by slices; None for any other document and
-    any the slices refuse (json.loads then reads it whole)."""
-    head = _HEAD.match(text) if isinstance(text, str) else None
-    hi = text.rfind("]") if head else -1
-    if hi < 0 or not _TAIL.match(text, hi):
+    writes, str or bytes, its rows decoded by slices; None for any other
+    document and any the slices refuse (json.loads then reads it whole)."""
+    kind = type(text)
+    head = _HEAD[kind].match(text) if kind in _HEAD else None
+    hi = text.rfind(b"]" if kind is bytes else "]") if head else -1
+    if hi < 0 or not _TAIL[kind].match(text, hi):
         return None
     try:  # ValueError: k or n past int()'s digits or numpy's dimensions
         k, n = int(head[1]), int(head[2])
@@ -694,8 +708,8 @@ def _parse_sliced(text: str) -> Hypergraph | None:
     return None if edges is None else Hypergraph(n, k, edges)
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the JSON document format.
+def parse_hypergraph(text: str | bytes) -> Hypergraph:
+    """Parse the JSON document format, from its text or its UTF-8 bytes.
 
     Raises :class:`DocumentError` for structural problems,
     :class:`UniformityError` / :class:`VertexRangeError` /
@@ -703,8 +717,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     are an error, never silently merged.  A document in the layout
     :func:`serialize_hypergraph` writes (keys ``k``, ``n``, ``edges`` in
     that order, JSON whitespace only) has its rows decoded one slice at
-    a time; any other goes through json.loads whole, which names its
-    first fault.
+    a time, from bytes with no str of the document; any other goes
+    through json.loads whole, which names its first fault.
     """
     H = _parse_sliced(text)
     if H is not None:

@@ -30,7 +30,6 @@ import math
 import os
 import random
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -415,8 +414,11 @@ def split_search(base_m: int, split, *, require=(), forbid=(), k: int = 3,
         restarts = -(-budget // _RESTART_QUOTA)
         jobs = ((base_m, split, k, target, seed, budget, r)
                 for r in range(restarts))
-        # the pool forks all its workers up front
+        # the pool forks all its workers up front; its module is imported
+        # only for a pool (it put 1.8 MB on every import of the package)
         pool_size = min(workers, restarts, os.cpu_count() or 1)
+        if pool_size > 1:
+            from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1
               else nullcontext()) as pool:
             results = (pool.map(_run_restart, jobs, chunksize=4) if pool

@@ -286,8 +286,7 @@ class _Hall:
     """
 
     __slots__ = ("rows", "edges_of", "color_of", "barred", "emask", "rem",
-                 "smask", "at", "holder", "bucket", "sets", "trail",
-                 "marks")
+                 "smask", "at", "holder", "bucket", "trail", "marks")
 
     def __init__(self, rows, edges_of, color_of, barred, emask, rem, smask):
         self.rows = rows
@@ -302,10 +301,8 @@ class _Hall:
         total = len(smask)
         self.at = list(range(total))
         self.holder = list(range(total)) + [-1] * (len(rows) - total)
-        # one set per mask for the whole search, kept when it empties: a
-        # new set would iterate in another order and change the work
-        self.sets = defaultdict(set, {0: set(range(len(rows)))})
-        self.bucket = {0: self.sets[0]}
+        # a bucket's set is made when an edge opens it, dropped when it empties
+        self.bucket = defaultdict(set, {0: set(range(len(rows)))})
         self.trail = []
         self.marks = []
 
@@ -361,8 +358,7 @@ class _Hall:
         re-seated by ``_augment``.  False when one cannot be, as Hall's
         condition then fails.
         """
-        emask, rem, bucket, sets = self.emask, self.rem, self.bucket, \
-            self.sets
+        emask, rem, bucket = self.emask, self.rem, self.bucket
         at, holder, fits = self.at, self.holder, self.fits
         self.marks.append(len(self.trail))
         for j in ev:
@@ -373,7 +369,7 @@ class _Hall:
             if not js:
                 del bucket[was]
             if rem[j]:
-                bucket.setdefault(new, sets[new]).add(j)
+                bucket[new].add(j)
         for r in closed:  # a newly covered subset gives its edge back
             if at[r] >= 0:
                 self._unseat(r)
@@ -445,8 +441,7 @@ class _Hall:
         while len(trail) > mark:
             arr, i, old = trail.pop()
             arr[i] = old
-        emask, rem, bucket, sets = self.emask, self.rem, self.bucket, \
-            self.sets
+        emask, rem, bucket = self.emask, self.rem, self.bucket
         for j in ev:
             new = emask[j]
             if rem[j]:
@@ -454,7 +449,7 @@ class _Hall:
                 js.remove(j)
                 if not js:
                     del bucket[new]
-            bucket.setdefault(new ^ bit, sets[new ^ bit]).add(j)
+            bucket[new ^ bit].add(j)
 
 
 def exists_complete(H: Hypergraph, t: int, *,

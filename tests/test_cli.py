@@ -241,6 +241,35 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("doc, message", [
+        (b'{"k":2,"n":3,"edges":[[0,1],[1,2]]}\xff', "not valid UTF-8"),
+        (b'\xfe\xff{"k":2,"n":3,"edges":[[0,1]]}', "not valid UTF-8"),
+        (b'{"k":2,"n":3,"edges":[[0,\xc3\xa91],[1,2]]}', "not valid JSON"),
+        (b'{"k":2,"n":3,"edges":[[0,1]\xc2\xa0]}', "not valid JSON"),
+        ('{"k":2,"n":3,"edges":[[0,1]]}'.encode("utf-16"), "not valid UTF-8"),
+        (b'\xef\xbb\xbf{"k":2,"n":3,"edges":[[0,1]]}', "not valid JSON"),
+    ], ids=["bad-utf8", "bad-utf8-head", "non-ascii-id", "nbsp", "utf-16", "bom"])
+    @pytest.mark.parametrize("argv", [["solve", "--chi"], ["export", "dot"]],
+                             ids=["solve", "export"])
+    def test_undecodable_bytes_exit_1(self, capsys, tmp_path, doc, message, argv):
+        # a file is read as bytes; what is not UTF-8 JSON is one typed error
+        f = tmp_path / "h.json"
+        f.write_bytes(doc)
+        code, out, err = run(capsys, argv + [str(f)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_chi_of_a_large_file_holds_its_bytes_once(self, capsys, tmp_path):
+        # grid(4,32): a 12.1 MB document and a 3.3 MB edge array.  Its
+        # bytes are decoded a slice at a time, with no str of the whole;
+        # text read whole traced 24.4 MB
+        H = grid_transversal(4, 32)
+        f = tmp_path / "grid.json"
+        f.write_text(serialize_hypergraph(H))
+        code, peak = traced_peak(lambda: main(["solve", str(f), "--chi"]))
+        assert code == 0 and capsys.readouterr().out == "4\n"
+        assert peak < f.stat().st_size + 3 * H.edges.nbytes
+
     def test_edgeless_spectrum_of_a_huge_vertex_count(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["solve", "-", "--spectrum"],
                            stdin='{"k":2,"n":1000000000000,"edges":[]}',
@@ -496,8 +525,9 @@ import contextlib, io, json, sys
 from pathlib import Path
 import hypercolor.cli as cli
 from hypercolor import parse_hypergraph, spectrum
+cli.build_parser()  # every run builds one; argparse's gettext imports locale
 before = set(sys.modules)
-spectrum(parse_hypergraph(Path(sys.argv[1]).read_text()))
+spectrum(parse_hypergraph(Path(sys.argv[1]).read_text(encoding="utf-8")))
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["solve", sys.argv[1], "--chi"])
 print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))

@@ -20,6 +20,7 @@ from hypercolor import (
     grid_position_coloring,
     grid_transversal,
     is_complete,
+    is_proper,
     regular15,
     split_lift,
     spectrum,
@@ -110,6 +111,20 @@ class TestGridFamily:
         # traced peak near 3x the edge bytes, full bool masks near 1.6x
         H, peak = traced_peak(lambda: grid_transversal(5, 20))
         assert peak <= 1.25 * H.edges.nbytes
+
+    @pytest.mark.parametrize("check, limit", [
+        (lambda H: all(verify_grid_invariants(H, 5, 20).values()), 2_000_000),
+        (lambda H: is_complete(H, grid_position_coloring(5, 20)), 1_000_000),
+        (lambda H: is_proper(H, grid_position_coloring(5, 20)), 1_000_000),
+    ], ids=["verify", "is_complete", "is_proper"])
+    def test_checks_hold_a_few_chunks_of_temporaries(self, check, limit):
+        # grid(5,20): 1.4M edges, a 7 MB edge array.  The checks work one
+        # chunk of rows at a time; one 16k-row intp id column is 0.13 MB,
+        # and 64k-row chunks traced 5.9, 1.9 and 1.2 MB
+        H = grid_transversal(5, 20)
+        ok, peak = traced_peak(lambda: check(H))
+        assert ok
+        assert peak < limit
 
     @pytest.mark.slow
     def test_generation_keeps_one_edge_array_at_scale(self):

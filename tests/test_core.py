@@ -605,6 +605,19 @@ class TestSlicedParse:
             assert (parse_outcome(parse_hypergraph, text)
                     == parse_outcome(reference_parse, text)), text
 
+    @pytest.mark.parametrize("chars", [1, 7, 16, 40, None])
+    def test_bytes_parse_as_their_text(self, monkeypatch, chars):
+        # a document's UTF-8 bytes give the hypergraph, or the error, of
+        # its text, down to the message
+        if chars is not None:
+            monkeypatch.setattr(core, "_SLICE_CHARS", chars)
+        for text in PARSE_CORPUS:
+            if isinstance(text, str):
+                assert (parse_outcome(parse_hypergraph, text.encode())
+                        == parse_outcome(parse_hypergraph, text)), text
+        H = grid_transversal(3, 6)
+        assert core._parse_sliced(serialize_hypergraph(H).encode()) == H
+
     @pytest.mark.parametrize("chars", [1, 16, 100])
     def test_plain_documents_take_the_slices(self, monkeypatch, chars):
         monkeypatch.setattr(core, "_SLICE_CHARS", chars)

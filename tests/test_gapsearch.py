@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -246,7 +247,7 @@ class TestSplitSearch:
 
         kw = dict(require={3, 5}, forbid={4}, budget=600, seed=3)
         serial = split_search(5, range(4), **kw)
-        monkeypatch.setattr(gapsearch, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(gapsearch.os, "cpu_count", lambda: cpus)
         res = split_search(5, range(4), workers=1_000_000, **kw)
         assert sizes == want
