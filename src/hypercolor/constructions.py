@@ -16,7 +16,7 @@ Three families and one primitive:
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (_CHUNK_ROWS, Coloring, DocumentError, Hypergraph, _chunks,
-                   _id_dtype, dump_json, load_json)
+                   _id_dtype, comb_upto, dump_json, load_json)
 
 # ceiling on r**k position assignments scanned by the grid generator
 _GRID_SCAN_CAP = 300_000_000
@@ -79,6 +79,10 @@ def grid_transversal(k: int, r: int) -> Hypergraph:
     keeps the array it fills without a copy.
     """
     params = GridParams(k, r)
+    # r >= 3, so r**k passes the cap once r or k passes it or its bit
+    # length; below both, the power has at most a few hundred digits
+    if r > _GRID_SCAN_CAP or k > _GRID_SCAN_CAP.bit_length():
+        raise ValueError(f"r**k = {r}**{k} assignments exceed the generator cap")
     if r ** k > _GRID_SCAN_CAP:
         raise ValueError(f"r**k = {r ** k} assignments exceed the generator cap")
     # an assignment's score counts its adjacent position pairs, plus 64 for
@@ -213,7 +217,7 @@ def complete_uniform(m: int, k: int) -> Hypergraph:
         raise ValueError(f"need k >= 2, got {k}")
     if m < k:
         raise ValueError(f"need m >= k, got m={m}, k={k}")
-    if math.comb(m, k) > 2_000_000:
+    if comb_upto(m, k, 2_000_000) > 2_000_000:
         raise ValueError(f"C({m},{k}) edges exceed the generator cap")
     return Hypergraph(m, k, list(combinations(range(m), k)))
 
@@ -244,10 +248,12 @@ class SplitPattern:
         object.__setattr__(self, "split", split)
         lifts = tuple(tuple(int(b) for b in row) for row in self.lifts)
         object.__setattr__(self, "lifts", lifts)
-        # count before listing: the base has C(base_m, k) edges
-        want_rows = math.comb(self.base_m, self.k)
+        # count before listing: the base has C(base_m, k) edges, and no
+        # list holds more than sys.maxsize rows
+        want_rows = comb_upto(self.base_m, self.k, sys.maxsize)
         if len(lifts) != want_rows:
-            raise ValueError(f"expected {want_rows} lift rows, got {len(lifts)}")
+            want = want_rows if want_rows <= sys.maxsize else f"over {sys.maxsize}"
+            raise ValueError(f"expected {want} lift rows, got {len(lifts)}")
         split_set = set(split)
         for row, edge in zip(lifts, self.base_edges()):
             want = sum(1 for v in edge if v in split_set)

@@ -31,7 +31,6 @@ Degenerate-instance conventions, used consistently across the package:
 from __future__ import annotations
 
 import json
-import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -135,7 +134,7 @@ class Hypergraph:
             raise DocumentError(
                 f"edge size must be an int >= 2 and below 2**60, got {k!r}")
         arr = self._coerce(n, k, edges)
-        self._adopt(n, k, self._canonicalize(n, k, arr))
+        self._adopt(n, k, self._canonicalize(arr))
 
     @classmethod
     def _trusted(cls, n: int, k: int, arr: np.ndarray) -> "Hypergraph":
@@ -205,14 +204,13 @@ class Hypergraph:
         return arr.astype(_id_dtype(n))
 
     @staticmethod
-    def _canonicalize(n: int, k: int, arr: np.ndarray) -> np.ndarray:
+    def _canonicalize(arr: np.ndarray) -> np.ndarray:
         m = arr.shape[0]
         if m == 0:
             return arr
         # sort each row unless every column already lies below the next
         # (a parsed written document has sorted rows), checked by chunks
-        if not all(bool((arr[sl, i] < arr[sl, i + 1]).all())
-                   for sl in _chunks(m) for i in range(k - 1)):
+        if not all(bool((arr[sl, :-1] < arr[sl, 1:]).all()) for sl in _chunks(m)):
             arr = np.sort(arr, axis=1)
             repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
             if repeats.any():
@@ -349,13 +347,22 @@ def _as_color_array(H: Hypergraph, coloring) -> tuple[np.ndarray, int]:
     return arr.astype(_dtype_for(t)), t
 
 
-def subset_rank(sorted_colors: Sequence[int]) -> int:
-    """Colexicographic rank of a strictly increasing color tuple.
+def comb_upto(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most cap, else cap + 1.
 
-    Bijects the k-subsets of {0..t-1} onto 0..C(t,k)-1 for any t, so
-    subsets can be marked in a flat array without knowing t up front.
+    Multiplies up C(n, i) for i = 0 .. min(k, n - k) and stops once it
+    passes cap.  C(n, i) >= 2^i on the way, so that takes at most cap's
+    bit length steps on small ints, where ``math.comb`` would build a
+    number of millions of digits only to compare it.
     """
-    return sum(math.comb(c, i + 1) for i, c in enumerate(sorted_colors))
+    if k > n:
+        return 0
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def _distinct(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -413,14 +420,14 @@ def is_complete(H: Hypergraph, coloring) -> bool:
     k = H.k
     if t < k:
         return False
-    total = math.comb(t, k)
+    total = comb_upto(t, k, H.m)
     if total > H.m:
         return False  # counting bound: m edges cannot realize more subsets
     if int(np.bincount(arr, minlength=t).min()) == 0:
         return False
     # colex rank = sum of tab[i][c[i]] = C(c[i], i+1); every partial sum is
     # below total, so capping the entries at total lets them take its dtype
-    tab = [np.array([min(math.comb(v, i + 1), total) for v in range(t + 1)],
+    tab = [np.array([min(comb_upto(v, i + 1, total), total) for v in range(t + 1)],
                     dtype=_dtype_for(total)) for i in range(k)]
     seen = np.zeros(total, dtype=bool)
     for sl in _chunks(H.m):

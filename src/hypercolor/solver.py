@@ -28,10 +28,10 @@ condition fails, so the class bound (``used + n - i < t``) cuts only
 when ``cover_prune`` is off.
 
 Apart from that repair, each assignment costs constant work per incident
-edge and neighbor: every edge keeps a bitmask of its colors, a table
-built with the subset list maps a full mask to the subset's rank, each
-node keeps the ranks of the edges it closed so undo never recomputes
-them, and every vertex keeps a bitmask of the colors its neighbors hold.
+edge and neighbor: every edge keeps a bitmask of its colors, which names
+its subset once the edge is full, each node keeps the masks of the edges
+it closed so undo never recomputes them, and every vertex keeps a
+bitmask of the colors its neighbors hold.
 
 Budgets are counted in nodes, one node per tentative vertex assignment,
 so a run is reproducible across machines.  The seed only permutes
@@ -60,15 +60,16 @@ from .core import (
     Hypergraph,
     HypergraphError,
     SpectrumReport,
+    comb_upto,
     is_complete,
     is_proper,
-    subset_rank,
 )
 
 _STATUSES = ("found", "none", "budget_exhausted")
 
-# refuse completeness state beyond this many k-subsets (a few list entries
-# each); the exact search is meant for at most a few thousand edges
+# refuse completeness state beyond this many k-subsets (a few list and
+# dict entries each, keyed by the subset's mask); the exact search is
+# meant for at most a few thousand edges
 _SUBSET_CAP = 500_000
 
 # the searches recurse once per vertex, so Python's default recursion
@@ -230,20 +231,6 @@ def exists_proper(H: Hypergraph, t: int, *,
     return SolveResult(status, witness, nodes)
 
 
-@lru_cache(maxsize=8)
-def _subset_tables(t: int, k: int):
-    """Tables over the k-subsets of colors {0..t-1}, which have colex ranks.
-
-    Returns (rank_of, smask): the rank of each subset's color mask and the
-    color mask of each rank.  A function of (t, k) alone, so repeated
-    searches build it once.  No submasks, 2^k - 1 per subset: ``_Hall``
-    scans only those its open edges carry.
-    """
-    rank_of = {sum(1 << c for c in sub): subset_rank(sub)
-               for sub in combinations(range(t), k)}
-    return rank_of, tuple(sorted(rank_of, key=rank_of.get))
-
-
 def _distinct_colors(allowed) -> bool:
     """Whether vertex i can take a color from bitmask allowed[i], no two
     vertices the same one: Kuhn's augmenting paths over color bits."""
@@ -272,12 +259,12 @@ def _distinct_colors(allowed) -> bool:
 class _Hall:
     """The Hall bound's matching of uncovered subsets to open edges.
 
-    at[r] is the edge subset r sits on (-1 when covered or displaced),
-    holder[j] the subset on edge j (-1 when free) and bucket[mask] the
-    open edges with that color mask, never empty: ``_augment`` scans the
-    buckets inside r's mask, at most m of them whatever 2^k is.  A trail
-    of (list, index, old value) lets ``undo`` restore the state from
-    before ``assign``.
+    Each subset is named by its color mask.  at[s] is the edge subset s
+    sits on (-1 when covered or displaced), holder[j] the subset on edge
+    j (-1 when free) and bucket[mask] the open edges with that color
+    mask, never empty: ``_augment`` scans the buckets inside s's mask, at
+    most m of them whatever 2^k is.  A trail of (list or dict, key, old
+    value) lets ``undo`` restore the state from before ``assign``.
 
     ``fits`` answers at once unless a neighbor bars some open vertex
     from a lacking color, and calls ``_distinct_colors`` only when three
@@ -286,30 +273,27 @@ class _Hall:
     """
 
     __slots__ = ("rows", "edges_of", "color_of", "barred", "emask", "rem",
-                 "smask", "at", "holder", "bucket", "trail", "marks")
+                 "at", "holder", "bucket", "trail", "marks")
 
-    def __init__(self, rows, edges_of, color_of, barred, emask, rem, smask):
+    def __init__(self, rows, edges_of, color_of, barred, emask, rem, subsets):
         self.rows = rows
         self.edges_of = edges_of
         self.color_of = color_of
         self.barred = barred
         self.emask = emask
         self.rem = rem
-        self.smask = smask
         # at the root every edge is blank and fits every subset, and the
-        # counting bound gave m >= C(t, k)
-        total = len(smask)
-        self.at = list(range(total))
-        self.holder = list(range(total)) + [-1] * (len(rows) - total)
+        # counting bound gave m >= C(t, k): subset i sits on edge i
+        self.at = {s: j for j, s in enumerate(subsets)}
+        self.holder = subsets + [-1] * (len(rows) - len(subsets))
         # a bucket's set is made when an edge opens it, dropped when it empties
         self.bucket = defaultdict(set, {0: set(range(len(rows)))})
         self.trail = []
         self.marks = []
 
-    def fits(self, j, r) -> bool:
-        """Whether subset r can still be realized by open edge j."""
+    def fits(self, j, s) -> bool:
+        """Whether subset s can still be realized by open edge j."""
         e = self.emask[j]
-        s = self.smask[r]
         if e & ~s:
             return False
         need = s ^ e
@@ -333,25 +317,25 @@ class _Hall:
         return union == need and (len(allowed) < 3
                                   or _distinct_colors(allowed))
 
-    def _seat(self, r, j):
+    def _seat(self, s, j):
         trail, at, holder = self.trail, self.at, self.holder
-        trail.append((at, r, at[r]))
+        trail.append((at, s, at[s]))
         trail.append((holder, j, holder[j]))
-        at[r] = j
-        holder[j] = r
+        at[s] = j
+        holder[j] = s
 
-    def _unseat(self, r):
+    def _unseat(self, s):
         trail, at, holder = self.trail, self.at, self.holder
-        j = at[r]
-        trail.append((holder, j, r))
-        trail.append((at, r, j))
+        j = at[s]
+        trail.append((holder, j, s))
+        trail.append((at, s, j))
         holder[j] = -1
-        at[r] = -1
+        at[s] = -1
 
     def assign(self, ev, bit, closed, newly) -> bool:
         """Repair the matching after v's edges ev took color bit.
 
-        closed lists the ranks they realized, newly the neighbors bit
+        closed lists the masks they realized, newly the neighbors bit
         was just barred from.  Covered subsets free their
         edges; the subsets on ev, and those on newly's edges that needed
         bit there, are re-checked; each one that no longer fits is
@@ -370,26 +354,26 @@ class _Hall:
                 del bucket[was]
             if rem[j]:
                 bucket[new].add(j)
-        for r in closed:  # a newly covered subset gives its edge back
-            if at[r] >= 0:
-                self._unseat(r)
+        for s in closed:  # a newly covered subset gives its edge back
+            if at[s] >= 0:
+                self._unseat(s)
         loose = []  # subsets whose edge can no longer realize them
         for j in ev:
-            r = holder[j]
-            if r >= 0 and not (rem[j] and fits(j, r)):
-                self._unseat(r)
-                loose.append(r)
-        smask, edges_of, color_of = self.smask, self.edges_of, self.color_of
+            s = holder[j]
+            if s >= 0 and not (rem[j] and fits(j, s)):
+                self._unseat(s)
+                loose.append(s)
+        edges_of, color_of = self.edges_of, self.color_of
         for w in newly:  # w lost the color; recheck edges that needed it
             if color_of[w] >= 0:
                 continue
             for j in edges_of[w]:
-                r = holder[j]
-                if r >= 0 and smask[r] & ~emask[j] & bit and not fits(j, r):
-                    self._unseat(r)
-                    loose.append(r)
-        for r in loose:
-            if not self._augment(r):
+                s = holder[j]
+                if s >= 0 and s & ~emask[j] & bit and not fits(j, s):
+                    self._unseat(s)
+                    loose.append(s)
+        for s in loose:
+            if not self._augment(s):
                 return False
         return True
 
@@ -403,15 +387,14 @@ class _Hall:
         edges than there are of them, and Hall's condition fails.  The
         stack is explicit: a path can be as long as the uncovered
         subsets are many."""
-        at, holder, bucket, fits, smask = self.at, self.holder, \
-            self.bucket, self.fits, self.smask
+        at, holder, bucket, fits = self.at, self.holder, self.bucket, self.fits
         reached = {root}
         path = [root]  # each later subset holds an edge the one before fits
         rest = []      # per subset on the path, its edges not yet tried
         while path:
             x = path[-1]
             if len(rest) < len(path):  # x was just reached: look ahead
-                out = ~smask[x]
+                out = ~x
                 masks = [mask for mask in bucket if not mask & out]
                 masks.sort(reverse=True)
                 for mask in masks:
@@ -472,7 +455,8 @@ def exists_complete(H: Hypergraph, t: int, *,
         raise ValueError("t must be non-negative")
     if H.m == 0 or t < H.k or t > H.n:
         return SolveResult("none", None, 0)
-    total = math.comb(t, H.k)
+    # counted no further than the refusals read: past m the answer is none
+    total = comb_upto(t, H.k, max(H.m, _SUBSET_CAP))
     if total > H.m:
         return SolveResult("none", None, 0)
     if total > _SUBSET_CAP:
@@ -494,16 +478,16 @@ def exists_complete(H: Hypergraph, t: int, *,
     neighbors = [{w for j in ev for w in rows[j]} - {v}
                  for v, ev in enumerate(edges_of)]
 
-    rank_of, smask = _subset_tables(t, k)
-
+    # the k-subset masks ascending, which is colex order
+    subsets = sorted(sum(1 << c for c in sub) for sub in combinations(range(t), k))
     rem = [k] * m           # uncolored vertices per edge
     emask = [0] * m         # colors on each edge
-    cov_cnt = [0] * total   # edges realizing each subset
+    cov_cnt = dict.fromkeys(subsets, 0)  # edges realizing each subset
     covered = 0
     n_open = m
     bud = _Budget(budget)
     hall = _Hall(rows, edges_of, color_of, barred, emask, rem,
-                 smask) if cover_prune else None
+                 subsets) if cover_prune else None
 
     def descend(i: int, used: int) -> bool:
         nonlocal covered, n_open
@@ -523,15 +507,15 @@ def exists_complete(H: Hypergraph, t: int, *,
             newly = [w for w in neighbors[v] if not barred[w] & bit]
             for w in newly:
                 barred[w] |= bit
-            closed = []  # ranks of the edges v closes
+            closed = []  # masks of the edges v closes
             for j in ev:
                 emask[j] |= bit
                 rem[j] -= 1
                 if rem[j] == 0:
-                    r = rank_of[emask[j]]
-                    closed.append(r)
-                    cov_cnt[r] += 1
-                    if cov_cnt[r] == 1:
+                    s = emask[j]
+                    closed.append(s)
+                    cov_cnt[s] += 1
+                    if cov_cnt[s] == 1:
                         covered += 1
             n_open -= len(closed)
             # open edges too few for the uncovered subsets
@@ -546,9 +530,9 @@ def exists_complete(H: Hypergraph, t: int, *,
             for j in ev:
                 emask[j] ^= bit
                 rem[j] += 1
-            for r in closed:
-                cov_cnt[r] -= 1
-                if cov_cnt[r] == 0:
+            for s in closed:
+                cov_cnt[s] -= 1
+                if cov_cnt[s] == 0:
                     covered -= 1
             n_open += len(closed)
             for w in newly:

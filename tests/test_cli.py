@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,26 @@ class TestGen:
         assert code == 1 and out == ""
         assert err == "error: expected 166666166667000000 lift rows, got 0\n"
 
+    @pytest.mark.parametrize("argv, want", [
+        (["gen", "complete-uniform", "--m", "8000000", "--k", "3000000"],
+         "C(8000000,3000000) edges exceed the generator cap"),
+        (["gen", "theorem3", "--k", "2000000", "--r", "2000000"],
+         "r**k = 2000000**2000000 assignments exceed the generator cap"),
+        (["gen", "split-lift", "--pattern"],
+         f"expected over {sys.maxsize} lift rows, got 0"),
+    ], ids=["complete-uniform", "theorem3", "split-lift"])
+    def test_huge_counts_refused_at_once(self, capsys, tmp_path, argv, want):
+        # each count has millions of digits: compared with its cap as it
+        # is built, never built whole
+        if argv[-1] == "--pattern":
+            f = tmp_path / "pat.json"
+            f.write_text('{"base_m": 8000000, "split": [], "lifts": [], "k": 3000000}')
+            argv = argv + [str(f)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {want}\n")
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "h.json"
         code, out, _ = run(capsys, ["gen", "regular15", "--out", str(dest)])
@@ -105,6 +126,20 @@ class TestGen:
 
 
 class TestSolve:
+    def test_complete_query_counts_no_further_than_m(self, capsys, tmp_path):
+        # a 2.7 MB document: one sorted edge of 400,000 vertices among
+        # 500,000,001.  C(500000000, 400000) has millions of digits, but
+        # past m = 1 the answer is none
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps({"n": 500_000_001, "k": 400_000,
+                                 "edges": [list(range(400_000))]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["solve", str(f), "--t", "500000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"query": "complete", "t": 500_000_000,
+                                   "status": "none", "witness": None, "nodes": 0}
+
     def test_chi_bare_number(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "h.json"
         f.write_text(serialize_hypergraph(complete_uniform(3, 3)))

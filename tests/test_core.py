@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +30,6 @@ from hypercolor import (
     serialize_hypergraph,
 )
 from hypercolor import complete_uniform, core, grid_transversal
-from hypercolor.core import subset_rank
 
 from conftest import (
     naive_is_complete,
@@ -203,37 +203,22 @@ class TestCanonicalize:
         assert str(exc.value) == "edge array must have shape (m, 3), got (2, 2)"
 
 
-def _colex_unrank(rank, k):
-    # greedy inverse of subset_rank: the largest c with C(c, i) <= rank,
-    # for i = k down to 1
-    out = []
-    for i in range(k, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= rank:
-            c += 1
-        out.append(c)
-        rank -= math.comb(c, i)
-    return tuple(reversed(out))
+class TestCombUpto:
+    def test_matches_math_comb_up_to_the_cap(self):
+        for n in range(25):
+            for k in range(n + 3):
+                want = math.comb(n, k)
+                for cap in (0, 1, want - 1, want, want + 1, 10 ** 6):
+                    if cap >= 0:
+                        assert core.comb_upto(n, k, cap) == min(want, cap + 1)
 
-
-class TestSubsetRanking:
-    @given(st.integers(1, 8), st.integers(0, 9), st.data())
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    def test_rank_unrank_roundtrip(self, k, extra, data):
-        t = k + extra
-        combo = data.draw(st.sets(st.integers(0, t - 1), min_size=k, max_size=k))
-        combo = tuple(sorted(combo))
-        r = subset_rank(combo)
-        assert 0 <= r < math.comb(t, k)
-        assert _colex_unrank(r, k) == combo
-
-    def test_ranks_are_a_bijection(self):
-        # onto 0..C(t,k)-1 for every k in 1..8 and t in k..k+9
-        for k in range(1, 9):
-            for t in range(k, k + 10):
-                ranks = sorted(subset_rank(c)
-                               for c in itertools.combinations(range(t), k))
-                assert ranks == list(range(math.comb(t, k)))
+    def test_huge_counts_stop_at_the_cap(self):
+        # math.comb would build numbers of millions of digits here
+        start = time.perf_counter()
+        assert core.comb_upto(8_000_000, 3_000_000, 2_000_000) == 2_000_001
+        assert core.comb_upto(500_000_000, 400_000, 1) == 2
+        assert core.comb_upto(10 ** 9, 10 ** 9 - 2, sys.maxsize) == math.comb(10 ** 9, 2)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPredicates:
@@ -251,6 +236,15 @@ class TestPredicates:
         H = Hypergraph(4, 2, [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)])
         #4 colors, class 3 empty
         assert not is_complete(H, Coloring((0, 1, 2, 2), 4))
+
+    def test_wide_edge_counts_no_further_than_m(self):
+        # C(400000, 150000) has over 100,000 digits, but past m = 1 the
+        # coloring is not complete
+        n, k = 400_000, 150_000
+        H = Hypergraph(n, k, [list(range(k))])
+        start = time.perf_counter()
+        assert not is_complete(H, list(range(n)))
+        assert time.perf_counter() - start < 1.0
 
     def test_vacuous_cases(self):
         empty = Hypergraph(3, 2, [])

@@ -321,14 +321,14 @@ def _hall_state(n, k, t, rows, colored):
     """A _Hall over edges rows at the root, and the lists it reads, with
     the vertices in colored (vertex -> color) then written in by hand;
     the matching itself is left as at the root."""
-    _rank_of, smask = solver._subset_tables(t, k)
+    subsets = sorted(map(_mask, itertools.combinations(range(t), k)))
     color_of = [-1] * n
     barred = [0] * n
     emask = [0] * len(rows)
     rem = [k] * len(rows)
     edges_of = [[j for j, row in enumerate(rows) if v in row]
                 for v in range(n)]
-    hall = solver._Hall(rows, edges_of, color_of, barred, emask, rem, smask)
+    hall = solver._Hall(rows, edges_of, color_of, barred, emask, rem, subsets)
     for v, c in colored.items():
         color_of[v] = c
         for j in edges_of[v]:
@@ -340,8 +340,8 @@ def _hall_state(n, k, t, rows, colored):
     return hall
 
 
-def _rank(colors):
-    return solver.subset_rank(sorted(colors))
+def _mask(colors):
+    return sum(1 << c for c in colors)
 
 
 class TestEdgeFits:
@@ -350,32 +350,32 @@ class TestEdgeFits:
     def test_one_vertex_barred_from_the_color_it_needs(self):
         rows = [(0, 1, 2), (2, 3, 4)]
         hall = _hall_state(5, 3, 4, rows, {0: 0, 1: 1})
-        assert hall.fits(0, _rank({0, 1, 2}))
-        assert not hall.fits(0, _rank({1, 2, 3}))  # 0 holds a color not in S
+        assert hall.fits(0, _mask({0, 1, 2}))
+        assert not hall.fits(0, _mask({1, 2, 3}))  # 0 holds a color not in S
         hall = _hall_state(5, 3, 4, rows, {0: 0, 1: 1, 3: 2})
         # vertex 2 needs color 2, which its neighbor 3 holds
-        assert not hall.fits(0, _rank({0, 1, 2}))
-        assert hall.fits(0, _rank({0, 1, 3}))
+        assert not hall.fits(0, _mask({0, 1, 2}))
+        assert hall.fits(0, _mask({0, 1, 3}))
 
     def test_two_vertices_fit_only_swapped(self):
         rows = [(0, 1, 2), (1, 3, 5), (2, 4, 5)]
         # 1 is barred from 1 (by 3) and 2 from 2 (by 4): 1 -> 2, 2 -> 1
         hall = _hall_state(6, 3, 5, rows, {0: 0, 3: 1, 4: 2})
-        assert hall.fits(0, _rank({0, 1, 2}))
+        assert hall.fits(0, _mask({0, 1, 2}))
         # with 5 holding 1 in place of 4 holding 2, both need color 2
         hall = _hall_state(6, 3, 5, rows, {0: 0, 3: 1, 5: 1})
-        assert not hall.fits(0, _rank({0, 1, 2}))
-        assert hall.fits(0, _rank({0, 2, 3}))
+        assert not hall.fits(0, _mask({0, 1, 2}))
+        assert hall.fits(0, _mask({0, 2, 3}))
 
     def test_blank_edge(self):
         rows = [(0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8)]
         # 0 may take only 2 of S = {0, 1, 2}, 1 only 0 or 1, 2 anything
         hall = _hall_state(9, 3, 3, rows, {3: 0, 4: 1, 5: 2})
-        assert hall.fits(0, _rank({0, 1, 2}))
+        assert hall.fits(0, _mask({0, 1, 2}))
         # 0 and 1 may each take only 2: together the three vertices may
         # take every color of S, but not one each
         hall = _hall_state(9, 3, 3, rows, {3: 0, 4: 1, 5: 0, 6: 1})
-        assert not hall.fits(0, _rank({0, 1, 2}))
+        assert not hall.fits(0, _mask({0, 1, 2}))
 
     def test_k4_edge(self):
         rows = [(0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8), (2, 9, 10, 11),
@@ -385,14 +385,14 @@ class TestEdgeFits:
         # must swap within itself
         colored = {4: 2, 5: 3, 7: 3, 9: 0, 10: 1, 12: 1}
         hall = _hall_state(14, 4, 4, rows, colored)
-        assert hall.fits(0, _rank({0, 1, 2, 3}))
+        assert hall.fits(0, _mask({0, 1, 2, 3}))
         # 6 holding 1 leaves vertex 0 only color 0, and 8 holding 0
         # leaves vertex 1 only color 1: still fine
         hall = _hall_state(14, 4, 4, rows, {**colored, 6: 1, 8: 0})
-        assert hall.fits(0, _rank({0, 1, 2, 3}))
+        assert hall.fits(0, _mask({0, 1, 2, 3}))
         # 8 holding 1 instead leaves vertices 0 and 1 both only color 0
         hall = _hall_state(14, 4, 4, rows, {**colored, 6: 1, 8: 1})
-        assert not hall.fits(0, _rank({0, 1, 2, 3}))
+        assert not hall.fits(0, _mask({0, 1, 2, 3}))
 
 
 def _hall_oracle(H, t, color_of, vertex_level):
@@ -428,7 +428,7 @@ def _hall_oracle(H, t, color_of, vertex_level):
     return all(("S", S) in match for S in subsets)
 
 
-def _color(hall, rows, rank_of, v, c):
+def _color(hall, rows, v, c):
     """Write v := c into the lists hall reads, as exists_complete does
     before ``assign``; returns assign's arguments (ev, bit, closed,
     newly)."""
@@ -444,7 +444,7 @@ def _color(hall, rows, rank_of, v, c):
         hall.emask[j] |= bit
         hall.rem[j] -= 1
         if hall.rem[j] == 0:
-            closed.append(rank_of[hall.emask[j]])
+            closed.append(hall.emask[j])
     return ev, bit, closed, newly
 
 
@@ -462,10 +462,9 @@ def _replay(H, t, steps):
     """_Hall.assign's answer after each (v, c) in steps, with the state
     kept as exists_complete keeps it; stops after the first False."""
     rows = H.edge_tuples()
-    rank_of = solver._subset_tables(t, H.k)[0]
     hall = _hall_state(H.n, H.k, t, rows, {})
     for v, c in steps:
-        ok = hall.assign(*_color(hall, rows, rank_of, v, c))
+        ok = hall.assign(*_color(hall, rows, v, c))
         yield ok
         if not ok:
             return
@@ -498,7 +497,7 @@ def _random_replays(rng):
 
 
 def _matching_state(hall):
-    return (list(hall.at), list(hall.holder),
+    return (dict(hall.at), list(hall.holder),
             {mask: frozenset(js) for mask, js in hall.bucket.items()})
 
 
@@ -510,13 +509,13 @@ def _assert_matched(hall):
     m = len(hall.rows)
     open_edges = [j for j in range(m) if hall.rem[j]]
     covered = {hall.emask[j] for j in range(m) if not hall.rem[j]}
-    for r, j in enumerate(at):
-        assert (j >= 0) == (hall.smask[r] not in covered)
+    for s, j in at.items():
+        assert (j >= 0) == (s not in covered)
         if j >= 0:
-            assert holder[j] == r
-            assert hall.rem[j] and hall.fits(j, r)
-    for j, r in enumerate(holder):
-        assert r < 0 or at[r] == j
+            assert holder[j] == s
+            assert hall.rem[j] and hall.fits(j, s)
+    for j, s in enumerate(holder):
+        assert s < 0 or at[s] == j
     assert all(hall.bucket.values())
     assert sorted(j for js in hall.bucket.values() for j in js) == open_edges
     assert all(j in hall.bucket[hall.emask[j]] for j in open_edges)
@@ -554,13 +553,12 @@ class TestHallBound:
         assigns = 0
         for H, t, steps in _random_replays(rng):
             rows = H.edge_tuples()
-            rank_of = solver._subset_tables(t, H.k)[0]
             hall = _hall_state(H.n, H.k, t, rows, {})
             _assert_matched(hall)
             done = []
             for v, c in steps:
                 before = _matching_state(hall)
-                args = _color(hall, rows, rank_of, v, c)
+                args = _color(hall, rows, v, c)
                 ok = hall.assign(*args)
                 done.append((v, args, before))
                 if not ok:
@@ -893,7 +891,7 @@ class TestBruteForce:
         # the oracle's code objects, nested ones included, name none of
         # the search's functions; psi_upper_bound sets the default t_max
         search = {"_Hall", "_proper_search", "_search_order", "_shuffled",
-                  "_subset_tables", "_Budget", "exists_complete",
+                  "_distinct_colors", "_Budget", "exists_complete",
                   "exists_proper", "spectrum", "chromatic_number"}
         todo = [brute_force_spectrum.__code__,
                 solver._proper_colorings.__code__]
